@@ -2203,10 +2203,81 @@ mod tests {
         }
     }
 
+    /// Wire lines captured from the encoder that predates the field
+    /// tables, one `key<TAB>line` per line. They pin the bytes: never
+    /// regenerate them from the current encoder.
+    const GOLDEN: &str = include_str!("../testdata/wire_golden.txt");
+
+    /// The trace context and pipelining id the golden envelopes carry.
+    const CTX: TraceContext = TraceContext {
+        id: 4242,
+        parent: 17,
+    };
+    const REQ_ID: u64 = 7;
+
+    /// Asserts `line` equals the golden line stored under `key`.
+    fn pin(key: &str, line: &str) {
+        let want = GOLDEN
+            .lines()
+            .find_map(|l| l.strip_prefix(key)?.strip_prefix('\t'))
+            .unwrap_or_else(|| panic!("no golden line '{key}'"));
+        assert_eq!(line, want, "{key}");
+    }
+
+    /// Pins every wire form of `req` — plain, with `"req"`, with a
+    /// trace context, with both — and decodes each back.
+    fn pin_request(key: &str, req: &Request) {
+        pin(&format!("{key}.plain"), &req.encode());
+        for (variant, trace, req_id) in [
+            ("plain", None, None),
+            ("req", None, Some(REQ_ID)),
+            ("trace", Some(CTX), None),
+            ("trace_req", Some(CTX), Some(REQ_ID)),
+        ] {
+            let line = req.encode_with_meta(trace, req_id);
+            pin(&format!("{key}.{variant}"), &line);
+            let (back, meta) = Request::decode_with_meta(&line).unwrap();
+            assert_eq!(back, *req, "{line}");
+            assert_eq!(meta, RequestMeta { trace, req_id }, "{line}");
+            // Plain decode ignores the envelope.
+            assert_eq!(Request::decode(&line).unwrap(), *req, "{line}");
+        }
+    }
+
+    /// Pins `resp` plain and with an echoed `"req"`, and decodes both
+    /// back.
+    fn pin_response(key: &str, resp: &Response) {
+        pin(&format!("{key}.plain"), &resp.encode());
+        for (variant, req_id) in [("plain", None), ("req", Some(REQ_ID))] {
+            let line = resp.encode_with_req(req_id);
+            pin(&format!("{key}.{variant}"), &line);
+            assert_eq!(
+                Response::decode_with_req(&line).unwrap(),
+                (resp.clone(), req_id),
+                "{line}"
+            );
+            assert_eq!(Response::decode(&line).unwrap(), *resp, "{line}");
+        }
+    }
+
     #[test]
     fn requests_round_trip() {
         let requests = vec![
             Request::Eval(DesignPoint::paper_alexnet()),
+            Request::EvalBatch(vec![
+                DesignPoint::paper_alexnet(),
+                DesignPoint {
+                    pes: 288,
+                    freq_mhz: 123.456789012345,
+                    net: "vgg16".into(),
+                    ..DesignPoint::paper_alexnet()
+                },
+            ]),
+            // A partitioned sub-sweep carries its `part` selector.
+            Request::Sweep(SweepSpec {
+                part: Some(SweepPart { index: 1, of: 4 }),
+                ..SweepSpec::paper_point()
+            }),
             Request::Sweep(SweepSpec {
                 pes: vec![288, 576],
                 freqs_mhz: vec![350.0, 700.0],
@@ -2247,10 +2318,10 @@ mod tests {
             Request::Dump,
             Request::Shutdown,
         ];
-        for req in requests {
+        for (i, req) in requests.iter().enumerate() {
             let line = req.encode();
             assert!(!line.contains('\n'), "wire form must be one line");
-            assert_eq!(Request::decode(&line).unwrap(), req, "{line}");
+            pin_request(&format!("requests_round_trip.{i}"), req);
         }
     }
 
@@ -2508,6 +2579,63 @@ mod tests {
                 spans: 128,
                 dropped: 0,
             },
+            // Omit-when branches: a span without worker or points, a
+            // metric entry without labels, stats without shards, and
+            // degraded frontiers.
+            Response::Trace {
+                id: 9,
+                dropped: 0,
+                spans: vec![SpanRecord {
+                    trace_id: 9,
+                    span_id: 12,
+                    parent_id: 0,
+                    name: "stats".into(),
+                    start_us: 5,
+                    dur_us: 1,
+                    worker: None,
+                    points: 0,
+                }],
+            },
+            Response::Metrics {
+                snapshot: Snapshot {
+                    entries: vec![MetricEntry {
+                        name: "dse_points_evaluated_total".into(),
+                        labels: vec![],
+                        value: MetricValue::Counter(4096),
+                    }],
+                    uptime_s: 0.5,
+                },
+            },
+            Response::Stats(ServerStats {
+                cached_points: 0,
+                hits: 0,
+                misses: 0,
+                hit_rate: 0.0,
+                requests: 1,
+                active_jobs: 0,
+                queue_capacity: 64,
+                open_connections: 1,
+                max_connections: 256,
+                threads: 2,
+                loaded_from_disk: 0,
+                persistent: false,
+                uptime_s: 0.125,
+                inflight_requests: 1,
+                queue_depth: 0,
+                slos: 0,
+                slo_breach_ticks: 0,
+                shards: vec![],
+            }),
+            Response::Frontier {
+                dims: 2,
+                entries: vec![],
+                degraded: true,
+            },
+            Response::FrontierStreamDone {
+                dims: 2,
+                entries: 0,
+                degraded: true,
+            },
             Response::Shutdown,
             Response::Busy {
                 active: 16,
@@ -2517,10 +2645,10 @@ mod tests {
                 message: "unknown network 'squeezenet'".into(),
             },
         ];
-        for resp in responses {
+        for (i, resp) in responses.iter().enumerate() {
             let line = resp.encode();
             assert!(!line.contains('\n'));
-            assert_eq!(Response::decode(&line).unwrap(), resp, "{line}");
+            pin_response(&format!("responses_round_trip.{i}"), resp);
         }
     }
 
@@ -2545,11 +2673,21 @@ mod tests {
                 objective: Objective::Scalarized(vec![(Metric::Fps, 1.0), (Metric::GatesK, 0.25)]),
                 ..TuneRequest::default()
             })),
+            // Every budget axis set (the default above sets none).
+            Request::Tune(Box::new(TuneRequest {
+                budget: Budget {
+                    max_system_mw: Some(750.5),
+                    max_gates_k: Some(2048.0),
+                    min_fps: Some(15.0),
+                    min_sqnr_db: Some(40.25),
+                },
+                ..TuneRequest::default()
+            })),
         ];
-        for req in requests {
+        for (i, req) in requests.iter().enumerate() {
             let line = req.encode();
             assert!(!line.contains('\n'));
-            assert_eq!(Request::decode(&line).unwrap(), req, "{line}");
+            pin_request(&format!("tune_requests_round_trip.{i}"), req);
         }
     }
 
@@ -2601,10 +2739,20 @@ mod tests {
             exhaustive_points: 244,
             degraded: true,
         });
-        for resp in [found, nothing] {
+        // Nothing found, and nothing degraded either.
+        let nothing_whole = Response::Tune(TuneSummary {
+            best: None,
+            evaluations: 20,
+            cache_hits: 20,
+            cache_misses: 0,
+            rounds: 1,
+            exhaustive_points: 244,
+            degraded: false,
+        });
+        for (i, resp) in [found, nothing, nothing_whole].iter().enumerate() {
             let line = resp.encode();
             assert!(!line.contains('\n'));
-            assert_eq!(Response::decode(&line).unwrap(), resp, "{line}");
+            pin_response(&format!("tune_responses_round_trip.{i}"), resp);
         }
     }
 
@@ -2626,11 +2774,11 @@ mod tests {
                 },
             })),
         ];
-        for req in requests {
+        for (i, req) in requests.iter().enumerate() {
             let line = req.encode();
             assert!(!line.contains('\n'));
             assert!(req.is_streaming());
-            assert_eq!(Request::decode(&line).unwrap(), req, "{line}");
+            pin_request(&format!("tune_frontier_requests_round_trip.{i}"), req);
         }
         // The sweep also decodes from its CLI string form.
         let req = Request::decode(
@@ -2733,10 +2881,13 @@ mod tests {
             entries: 7,
             degraded: false,
         };
-        for resp in [step_found, step_nothing, done, entry, stream_done] {
+        for (i, resp) in [step_found, step_nothing, done, entry, stream_done]
+            .iter()
+            .enumerate()
+        {
             let line = resp.encode();
             assert!(!line.contains('\n'));
-            assert_eq!(Response::decode(&line).unwrap(), resp, "{line}");
+            pin_response(&format!("streaming_response_lines_round_trip.{i}"), resp);
         }
         // A step line without its budget value is malformed, not NaN.
         let headless = r#"{"ok":true,"type":"tune_frontier","step":0,"steps":2,"found":false}"#;
@@ -2814,28 +2965,34 @@ mod tests {
             id: 4242,
             parent: 17,
         };
-        for req in [
+        for (i, req) in [
             Request::Eval(DesignPoint::paper_alexnet()),
             Request::Sweep(SweepSpec::paper_point()),
             Request::Tune(Box::default()),
             Request::Stats,
             Request::TraceQuery { id: 9 },
-        ] {
-            let line = req.encode_with_trace(ctx);
-            let (back, got) = Request::decode_with_trace(&line).unwrap();
-            assert_eq!(back, req, "{line}");
-            assert_eq!(got, Some(ctx), "{line}");
+        ]
+        .iter()
+        .enumerate()
+        {
+            let line = req.encode_with_meta(Some(ctx), None);
+            let (back, got) = Request::decode_with_meta(&line).unwrap();
+            assert_eq!(back, *req, "{line}");
+            assert_eq!(got.trace, Some(ctx), "{line}");
             // Plain decode (a pre-tracing daemon) ignores the field.
-            assert_eq!(Request::decode(&line).unwrap(), req, "{line}");
+            assert_eq!(Request::decode(&line).unwrap(), *req, "{line}");
+            pin_request(&format!("trace_contexts.{i}"), req);
         }
         // A root context omits `parent` on the wire and decodes to 0.
-        let line = Request::Stats.encode_with_trace(TraceContext { id: 5, parent: 0 });
+        let root = TraceContext { id: 5, parent: 0 };
+        let line = Request::Stats.encode_with_meta(Some(root), None);
         assert!(!line.contains("parent"));
-        let (_, got) = Request::decode_with_trace(&line).unwrap();
-        assert_eq!(got, Some(TraceContext { id: 5, parent: 0 }));
+        pin("trace_contexts.root", &line);
+        let (_, got) = Request::decode_with_meta(&line).unwrap();
+        assert_eq!(got.trace, Some(root));
         // Lines without the field decode to no context.
-        let (_, got) = Request::decode_with_trace(r#"{"type":"stats"}"#).unwrap();
-        assert_eq!(got, None);
+        let (_, got) = Request::decode_with_meta(r#"{"type":"stats"}"#).unwrap();
+        assert_eq!(got.trace, None);
         // Malformed contexts are rejected, not ignored.
         for bad in [
             r#"{"type":"stats","trace":7}"#,
@@ -2844,7 +3001,7 @@ mod tests {
             r#"{"type":"stats","trace":{"id":"yes"}}"#,
             r#"{"type":"stats","trace":{"id":3,"parent":-1}}"#,
         ] {
-            assert!(Request::decode_with_trace(bad).is_err(), "{bad:?}");
+            assert!(Request::decode_with_meta(bad).is_err(), "{bad:?}");
         }
         // trace_query requires its id.
         assert!(Request::decode(r#"{"type":"trace_query"}"#).is_err());
