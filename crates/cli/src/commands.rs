@@ -9,14 +9,15 @@ use chain_nn_core::perf::{CycleModel, PerfModel};
 use chain_nn_core::sim::ChainSim;
 use chain_nn_core::{polyphase, trace, ChainConfig, LayerShape};
 use chain_nn_dse::{
-    executor, export, CacheFile, CacheStats, Explorer, PointCache, RangeSpec, SweepSpec,
-    WorkloadMix,
+    executor, export, CacheFile, CacheStats, DesignPoint, Explorer, PointCache, RangeSpec,
+    SweepSpec, WorkloadMix,
 };
 use chain_nn_energy::power::PowerModel;
 use chain_nn_fixed::{Fix16, OverflowMode};
 use chain_nn_mem::traffic::{totals, TrafficModel};
 use chain_nn_mem::MemoryConfig;
 use chain_nn_nets::{zoo, Network};
+use chain_nn_serve::Request;
 use chain_nn_tensor::conv::{conv2d_fix, ConvGeometry};
 use chain_nn_tensor::Tensor;
 use chain_nn_tuner::frontier::{BudgetSweep, FrontierStep, FrontierTuneRequest};
@@ -993,26 +994,28 @@ fn query_cmd(tokens: &[String]) -> CmdResult {
         return Err("query needs a REQUEST (a JSON object or: stats | metrics | metrics-history | frontier | frontier2 | frontier-sqnr | frontier-stream | watch | dump | shutdown | eval)".into());
     }
     // Bare-word shorthands for the no-payload requests.
-    let line = match request.as_str() {
-        "stats" => r#"{"type":"stats"}"#.to_owned(),
-        "metrics" => r#"{"type":"metrics"}"#.to_owned(),
-        "metrics-history" => r#"{"type":"metrics_history"}"#.to_owned(),
-        "frontier" => r#"{"type":"frontier","dims":3}"#.to_owned(),
-        "frontier2" => r#"{"type":"frontier","dims":2}"#.to_owned(),
-        "frontier-sqnr" => r#"{"type":"frontier","dims":3,"axes":"sqnr"}"#.to_owned(),
-        "frontier-stream" => r#"{"type":"frontier","dims":3,"stream":true}"#.to_owned(),
+    let frontier = |dims, sqnr, stream| Request::Frontier { dims, sqnr, stream };
+    let shorthand = match request.as_str() {
+        "stats" => Some(Request::Stats),
+        "metrics" => Some(Request::Metrics),
+        "metrics-history" => Some(Request::MetricsHistory),
+        "frontier" => Some(frontier(3, false, false)),
+        "frontier2" => Some(frontier(2, false, false)),
+        "frontier-sqnr" => Some(frontier(3, true, false)),
+        "frontier-stream" => Some(frontier(3, false, true)),
         // Bounded so the shorthand terminates; raw JSON with
         // "samples":0 watches until daemon shutdown.
-        "watch" => r#"{"type":"watch","samples":5}"#.to_owned(),
-        "shutdown" => r#"{"type":"shutdown"}"#.to_owned(),
-        "dump" => r#"{"type":"dump"}"#.to_owned(),
-        "eval" => r#"{"type":"eval"}"#.to_owned(),
-        other => other.to_owned(),
+        "watch" => Some(Request::Watch { samples: 5 }),
+        "shutdown" => Some(Request::Shutdown),
+        "dump" => Some(Request::Dump),
+        "eval" => Some(Request::Eval(DesignPoint::paper_alexnet())),
+        _ => None,
     };
+    let line = shorthand.map_or(request, |r| r.encode());
     // Streaming requests answer N result lines then one terminal line;
     // drain them all. (Decode failures fall through to single-reply
     // handling — the daemon will answer the error itself.)
-    let streaming = chain_nn_serve::Request::decode(&line)
+    let streaming = Request::decode(&line)
         .map(|r| r.is_streaming())
         .unwrap_or(false);
     let mut client = chain_nn_serve::Client::connect((host, port))?;

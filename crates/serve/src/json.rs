@@ -1,15 +1,21 @@
-//! Minimal JSON tree: parser and writer.
+//! Minimal JSON tree parser, plus the string escaper the protocol's
+//! writer uses.
 //!
-//! The workspace carries no serde, and the serve protocol needs both
-//! directions (the daemon decodes requests and encodes responses; the
-//! client does the reverse), so this module implements just enough
-//! JSON: the full value grammar on parse, compact single-line output on
-//! write, shortest-round-trip float formatting (Rust's `{}` for `f64`),
-//! and `\uXXXX` escapes including surrogate pairs. No comments, no
+//! The workspace carries no serde, so this module implements just
+//! enough JSON for the serve protocol: the full value grammar and
+//! `\uXXXX` escapes including surrogate pairs. No comments, no
 //! trailing commas, no NaN/Infinity — by design, since none of those
-//! survive a round trip through other tooling.
+//! survive a round trip through other tooling. Arrays and objects may
+//! nest at most [`MAX_DEPTH`] deep, so a hostile line cannot exhaust
+//! the parsing thread's stack. Encoding never builds a tree: the
+//! protocol's field tables write straight into the line buffer.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// protocol shape (a `metrics_history` reply) nests 5 levels; the bound
+/// keeps the recursive parser's stack use small and fixed.
+pub const MAX_DEPTH: usize = 64;
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +59,11 @@ impl Json {
     ///
     /// Returns a [`JsonError`] locating the first offending byte.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { text, at: 0 };
+        let mut p = Parser {
+            text,
+            at: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -110,71 +120,31 @@ impl Json {
 /// Writes `s` JSON-escaped, with surrounding quotes.
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    write!(f, "{n}")
-                } else {
-                    // Not representable in JSON; null is the least-bad
-                    // lossy choice and never occurs for protocol data
-                    // (specs validate finiteness).
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                write_escaped(&mut buf, s);
-                f.write_str(&buf)
-            }
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    let mut key = String::with_capacity(k.len() + 2);
-                    write_escaped(&mut key, k);
-                    write!(f, "{key}:{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
-    }
-}
-
 struct Parser<'a> {
     text: &'a str,
     at: usize,
+    /// Arrays/objects currently open around `at`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -231,12 +201,23 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Enters one array/object level, refusing to go past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn array(&mut self) -> Result<Json, JsonError> {
         self.eat(b'[')?;
+        self.descend()?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.at += 1;
+            self.depth -= 1;
             return Ok(Json::Arr(items));
         }
         loop {
@@ -247,6 +228,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.at += 1,
                 Some(b']') => {
                     self.at += 1;
+                    self.depth -= 1;
                     return Ok(Json::Arr(items));
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
@@ -256,10 +238,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Json, JsonError> {
         self.eat(b'{')?;
+        self.descend()?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.at += 1;
+            self.depth -= 1;
             return Ok(Json::Obj(fields));
         }
         loop {
@@ -275,6 +259,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.at += 1,
                 Some(b'}') => {
                     self.at += 1;
+                    self.depth -= 1;
                     return Ok(Json::Obj(fields));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
@@ -436,30 +421,28 @@ mod tests {
     }
 
     #[test]
-    fn escapes_round_trip() {
-        let original = Json::Str("a\"b\\c\nd\te\u{0001}f/🦀".into());
-        let encoded = original.to_string();
-        assert_eq!(Json::parse(&encoded).unwrap(), original);
-        // Explicit escape forms parse too.
+    fn escaped_forms_parse() {
         let v = Json::parse(r#""\u0041\u00e9\ud83e\udd80\/""#).unwrap();
         assert_eq!(v.as_str(), Some("Aé🦀/"));
     }
 
     #[test]
-    fn floats_round_trip_exactly() {
-        for x in [
-            0.1,
-            1.0 / 3.0,
-            700.0,
-            1e-300,
-            f64::MAX,
-            -0.0,
-            123.456_789_012_345_67,
+    fn nesting_is_bounded() {
+        let nested =
+            |depth: usize, open: &str, close: &str| open.repeat(depth) + &close.repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH, "{\"a\":", "}").replace(":}", ":1}")).is_ok());
+        for bad in [
+            nested(MAX_DEPTH + 1, "[", "]"),
+            nested(MAX_DEPTH + 1, "{\"a\":", "}").replace(":}", ":1}"),
+            "[".repeat(100_000),
+            nested(100_000, "[", "]"),
         ] {
-            let encoded = Json::Num(x).to_string();
-            let back = Json::parse(&encoded).unwrap().as_f64().unwrap();
-            assert_eq!(back.to_bits(), x.to_bits(), "{x} re-parsed as {back}");
+            let err = Json::parse(&bad).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
         }
+        // Depth is nesting, not count: many siblings at depth 1 are fine.
+        assert!(Json::parse(&format!("[{}[]]", "[],".repeat(1000))).is_ok());
     }
 
     #[test]

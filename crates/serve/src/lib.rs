@@ -11,7 +11,9 @@
 //! * [`protocol`] — typed requests/responses and their wire encoding
 //!   (`eval`, `sweep`, `tune`, `tune_frontier`, `frontier`, `stats`,
 //!   `metrics`, `metrics_history`, `watch`, `shutdown`), shared by
-//!   daemon and client so the two cannot drift. `tune_frontier`,
+//!   daemon and client so the two cannot drift. Each wire shape is one
+//!   field table (key, field, rule); the encoder and the decoder are
+//!   both derived from it, so they cannot drift either. `tune_frontier`,
 //!   `frontier` with `"stream":true` and `watch` are **streaming**
 //!   requests: N result lines, flushed as each is produced, then one
 //!   `done` line (`docs/PROTOCOL.md` states the framing rule).
@@ -32,7 +34,8 @@
 //!   has no async runtime, and a worker pool over blocking sockets
 //!   serves this protocol fine).
 //! * [`client`] — blocking client used by `chain-nn query` and tests.
-//! * [`json`] — the dependency-free JSON tree both sides parse with.
+//! * [`json`] — the dependency-free JSON tree both sides parse with
+//!   (nesting bounded at [`json::MAX_DEPTH`]).
 //!
 //! # Example
 //!
@@ -76,6 +79,7 @@ pub mod protocol;
 pub mod scheduler;
 pub mod server;
 pub mod slo;
+mod wire;
 
 pub use client::{Client, ClientError};
 pub use protocol::{Request, Response};

@@ -5,7 +5,12 @@
 //! `\n`-terminated JSON object and produces exactly one
 //! `\n`-terminated JSON object in reply, in order. Both the daemon
 //! ([`crate::server`]) and the client ([`crate::client`]) use this
-//! module, so encode/decode cannot drift apart.
+//! module. Each wire shape is described once, by a field table listing
+//! every field's key, Rust field and rule (required, defaulted, omitted
+//! when empty, derived); the encoder and the decoder are both generated
+//! from that table, so they cannot drift apart. The encoder writes
+//! straight into the line buffer; the decoder converts every leaf with
+//! one checked conversion, so mistyped fields are errors.
 //!
 //! Requests (`"type"` selects the operation):
 //!
@@ -36,7 +41,8 @@
 //!
 //! # Example
 //!
-//! The typed codec round-trips every shape; this is the entry point
+//! The typed codec round-trips every shape byte-exactly (golden lines
+//! in `crates/serve/testdata` pin the bytes); this is the entry point
 //! both sides share:
 //!
 //! ```
@@ -83,7 +89,11 @@ use chain_nn_tuner::{
     StrategyKind, TuneRequest, Tuned,
 };
 
-use crate::json::Json;
+use crate::json::{write_escaped, Json};
+use crate::wire::{
+    bad, object_wire, optional, required, wire_enum, wire_struct, Codec, Fields, Obj, Plain,
+    Tagged, Wire,
+};
 
 /// Malformed wire data (unparseable JSON, missing/mistyped fields).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,10 +106,6 @@ impl fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
-
-fn bad(msg: impl Into<String>) -> ProtocolError {
-    ProtocolError(msg.into())
-}
 
 /// One client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -547,162 +553,572 @@ pub enum Response {
     },
 }
 
-// ---------------------------------------------------------------- encode
+// ----------------------------------------------------------- field tables
 
-fn num(n: f64) -> Json {
-    Json::Num(n)
+/// The paper's AlexNet point: what every absent `point` field means.
+fn paper() -> DesignPoint {
+    DesignPoint::paper_alexnet()
 }
 
-fn unum(n: u64) -> Json {
-    Json::Num(n as f64)
-}
+wire_struct! { DesignPoint as _p {
+    "net": net = paper().net,
+    "pes": pes = paper().pes,
+    "freq_mhz": freq_mhz = paper().freq_mhz,
+    "kmem_depth": kmem_depth = paper().kmem_depth,
+    "imem_kb": imem_kb = paper().imem_kb,
+    "omem_kb": omem_kb = paper().omem_kb,
+    "word_bits": word_bits = paper().word_bits,
+    "batch": batch = paper().batch,
+} }
 
-fn point_to_json(p: &DesignPoint) -> Json {
-    Json::Obj(vec![
-        ("net".into(), Json::Str(p.net.clone())),
-        ("pes".into(), unum(p.pes as u64)),
-        ("freq_mhz".into(), num(p.freq_mhz)),
-        ("kmem_depth".into(), unum(p.kmem_depth as u64)),
-        ("imem_kb".into(), unum(p.imem_kb as u64)),
-        ("omem_kb".into(), unum(p.omem_kb as u64)),
-        ("word_bits".into(), unum(u64::from(p.word_bits))),
-        ("batch".into(), unum(p.batch as u64)),
-    ])
-}
+/// A sweep axis: written as an array, read from an array or a single
+/// scalar.
+struct Axis;
 
-fn spec_to_json(s: &SweepSpec) -> Json {
-    let us = |axis: &[usize]| Json::Arr(axis.iter().map(|&v| unum(v as u64)).collect());
-    let mut fields = vec![
-        (
-            "nets".into(),
-            Json::Arr(s.nets.iter().map(|n| Json::Str(n.clone())).collect()),
-        ),
-        ("pes".into(), us(&s.pes)),
-        (
-            "freqs_mhz".into(),
-            Json::Arr(s.freqs_mhz.iter().map(|&f| num(f)).collect()),
-        ),
-        ("kmem_depths".into(), us(&s.kmem_depths)),
-        ("imem_kb".into(), us(&s.imem_kb)),
-        ("omem_kb".into(), us(&s.omem_kb)),
-        (
-            "word_bits".into(),
-            Json::Arr(s.word_bits.iter().map(|&b| unum(u64::from(b))).collect()),
-        ),
-        ("batches".into(), us(&s.batches)),
-    ];
-    if let Some(part) = &s.part {
-        fields.push((
-            "part".into(),
-            Json::Obj(vec![
-                ("index".into(), unum(part.index as u64)),
-                ("of".into(), unum(part.of as u64)),
-            ]),
-        ));
+impl<T: Wire> Codec<Vec<T>> for Axis {
+    fn put(value: &Vec<T>, out: &mut String) {
+        value.put(out);
     }
-    Json::Obj(fields)
+
+    fn take(v: &Json, key: &str) -> Result<Vec<T>, ProtocolError> {
+        match v {
+            Json::Arr(_) => Vec::take(v, key),
+            scalar => Ok(vec![T::take(scalar, key)?]),
+        }
+    }
+
+    fn is_empty(_: &Vec<T>) -> bool {
+        false
+    }
 }
 
-fn mix_to_json(mix: &WorkloadMix) -> Json {
-    Json::Obj(
-        mix.entries()
-            .iter()
-            .map(|e| (e.net.clone(), num(e.weight)))
-            .collect(),
-    )
+wire_struct! { SweepSpec as _s {
+    "nets": nets via Axis = SweepSpec::paper_point().nets,
+    "pes": pes via Axis = SweepSpec::paper_point().pes,
+    "freqs_mhz": freqs_mhz via Axis = SweepSpec::paper_point().freqs_mhz,
+    "kmem_depths": kmem_depths via Axis = SweepSpec::paper_point().kmem_depths,
+    "imem_kb": imem_kb via Axis = SweepSpec::paper_point().imem_kb,
+    "omem_kb": omem_kb via Axis = SweepSpec::paper_point().omem_kb,
+    "word_bits": word_bits via Axis = SweepSpec::paper_point().word_bits,
+    "batches": batches via Axis = SweepSpec::paper_point().batches,
+    "part": part omit,
+} }
+
+wire_struct! { SweepPart as _p { "index": index dflt, "of": of } check positive_part }
+
+fn positive_part(part: &mut SweepPart) -> Result<(), ProtocolError> {
+    if part.of == 0 {
+        return Err(bad("'part' needs a positive 'of'"));
+    }
+    Ok(())
 }
 
-fn budget_to_json(b: &Budget) -> Json {
-    let mut fields = Vec::new();
-    if let Some(v) = b.max_system_mw {
-        fields.push(("max_system_mw".to_owned(), num(v)));
+/// A mix is an object of `net: weight` pairs, or the CLI string form
+/// (`"alexnet:0.7,vgg16:0.3"`).
+impl Wire for WorkloadMix {
+    fn put(&self, out: &mut String) {
+        let mut o = Obj::open(out);
+        for e in self.entries() {
+            o.put(&e.net, &e.weight);
+        }
+        o.close();
     }
-    if let Some(v) = b.max_gates_k {
-        fields.push(("max_gates_k".to_owned(), num(v)));
-    }
-    if let Some(v) = b.min_fps {
-        fields.push(("min_fps".to_owned(), num(v)));
-    }
-    if let Some(v) = b.min_sqnr_db {
-        fields.push(("min_sqnr_db".to_owned(), num(v)));
-    }
-    Json::Obj(fields)
-}
 
-fn objective_to_json(o: &Objective) -> Json {
-    match o {
-        Objective::Lexicographic(metrics) => Json::Arr(
-            metrics
-                .iter()
-                .map(|m| Json::Str(m.name().to_owned()))
-                .collect(),
-        ),
-        Objective::Scalarized(terms) => Json::Obj(vec![(
-            "scalarized".to_owned(),
-            Json::Obj(
-                terms
+    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        let mix = match v {
+            Json::Str(text) => WorkloadMix::parse(text),
+            Json::Obj(pairs) => WorkloadMix::new(
+                pairs
                     .iter()
-                    .map(|(m, w)| (m.name().to_owned(), num(*w)))
-                    .collect(),
+                    .map(|(net, w)| {
+                        let weight = f64::take(w, net)?;
+                        Ok(MixEntry {
+                            net: net.clone(),
+                            weight,
+                        })
+                    })
+                    .collect::<Result<_, ProtocolError>>()?,
             ),
-        )]),
+            _ => {
+                return Err(bad(format!(
+                    "'{key}' must be an object of net: weight pairs or a string"
+                )))
+            }
+        };
+        mix.map_err(|e| bad(e.to_string()))
     }
 }
 
-fn mix_result_fields(r: &MixResult) -> Vec<(String, Json)> {
-    vec![
-        ("fps".into(), num(r.fps)),
-        ("chip_mw".into(), num(r.chip_mw)),
-        ("dram_mw".into(), num(r.dram_mw)),
-        ("system_mw".into(), num(r.system_mw())),
-        ("peak_gops".into(), num(r.peak_gops)),
-        ("gops_per_watt".into(), num(r.gops_per_watt())),
-        ("gates_k".into(), num(r.gates_k)),
-        ("sram_kb".into(), num(r.sram_kb)),
-        ("sqnr_db".into(), num(r.sqnr_db)),
-    ]
-}
+wire_struct! { Budget as _b {
+    "max_system_mw": max_system_mw omit,
+    "max_gates_k": max_gates_k omit,
+    "min_fps": min_fps omit,
+    "min_sqnr_db": min_sqnr_db omit,
+} }
 
-fn result_fields(r: &PointResult) -> Vec<(String, Json)> {
-    vec![
-        ("status".into(), Json::Str("ok".into())),
-        ("fps".into(), num(r.fps)),
-        ("achieved_gops".into(), num(r.achieved_gops)),
-        ("peak_gops".into(), num(r.peak_gops)),
-        ("chip_mw".into(), num(r.chip_mw)),
-        ("dram_mw".into(), num(r.dram_mw)),
-        ("system_mw".into(), num(r.system_mw())),
-        ("gops_per_watt".into(), num(r.gops_per_watt())),
-        ("gates_k".into(), num(r.gates_k)),
-        ("sram_kb".into(), num(r.sram_kb)),
-        ("sqnr_db".into(), num(r.sqnr_db)),
-    ]
-}
+/// An objective is a metric name array (lexicographic), a
+/// `{"scalarized":{name: weight}}` object, or the CLI string form.
+impl Wire for Objective {
+    fn put(&self, out: &mut String) {
+        match self {
+            Objective::Lexicographic(metrics) => {
+                let names: Vec<String> = metrics.iter().map(|m| m.name().to_owned()).collect();
+                names.put(out);
+            }
+            Objective::Scalarized(terms) => {
+                let mut o = Obj::open(out);
+                let mut weights = Obj::open(o.key("scalarized"));
+                for (m, w) in terms {
+                    weights.put(m.name(), w);
+                }
+                weights.close();
+                o.close();
+            }
+        }
+    }
 
-fn outcome_fields(outcome: &PointOutcome) -> Vec<(String, Json)> {
-    match outcome {
-        PointOutcome::Feasible(r) => result_fields(r),
-        PointOutcome::Infeasible(reason) => vec![
-            ("status".into(), Json::Str("infeasible".into())),
-            ("reason".into(), Json::Str(reason.clone())),
-        ],
+    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        let metric = |name: &str| name.parse::<Metric>().map_err(ProtocolError);
+        let objective = match v {
+            Json::Str(text) => Objective::parse(text).map_err(ProtocolError)?,
+            Json::Arr(_) => Objective::Lexicographic(
+                Vec::<String>::take(v, key)?
+                    .iter()
+                    .map(|name| metric(name))
+                    .collect::<Result<_, _>>()?,
+            ),
+            Json::Obj(_) => {
+                let Some(Json::Obj(terms)) = v.get("scalarized") else {
+                    return Err(bad("objective object needs a 'scalarized' object"));
+                };
+                Objective::Scalarized(
+                    terms
+                        .iter()
+                        .map(|(name, w)| Ok((metric(name)?, f64::take(w, name)?)))
+                        .collect::<Result<_, ProtocolError>>()?,
+                )
+            }
+            _ => return Err(bad(format!("'{key}' must be a string, array or object"))),
+        };
+        objective.validate().map_err(ProtocolError)?;
+        Ok(objective)
     }
 }
 
-/// The shared field block of `tune` and `tune_frontier` requests.
-fn tune_fields(kind: &str, req: &TuneRequest) -> Vec<(String, Json)> {
-    vec![
-        ("type".into(), Json::Str(kind.into())),
-        ("space".into(), spec_to_json(&req.space)),
-        ("mix".into(), mix_to_json(&req.mix)),
-        ("budget".into(), budget_to_json(&req.budget)),
-        ("objective".into(), objective_to_json(&req.objective)),
-        ("strategy".into(), Json::Str(req.strategy.name().into())),
-        // Seeds ride the JSON number; above 2^53 they would lose
-        // precision, which the decoder rejects rather than silently
-        // aliasing.
-        ("seed".into(), unum(req.seed)),
-    ]
+impl Wire for StrategyKind {
+    fn put(&self, out: &mut String) {
+        write_escaped(out, self.name());
+    }
+
+    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        String::take(v, key)?.parse().map_err(ProtocolError)
+    }
+}
+
+wire_struct! { TuneRequest as _r {
+    "space": space = TuneRequest::default().space,
+    "mix": mix = TuneRequest::default().mix,
+    "budget": budget dflt,
+    "objective": objective dflt,
+    "strategy": strategy dflt,
+    // Seeds ride the JSON number: above 2^53 they would lose precision,
+    // which the decoder rejects rather than silently aliasing.
+    "seed": seed dflt,
+} }
+
+/// A budget sweep is an `{"axis": ..., "values": [...]}` object or the
+/// CLI string form (`"max-mw=300..=900:50"`). Either way it is
+/// validated (non-empty, strictly increasing, legal bounds).
+impl Wire for BudgetSweep {
+    fn put(&self, out: &mut String) {
+        let mut o = Obj::open(out);
+        write_escaped(o.key("axis"), self.axis.name());
+        o.put("values", &self.values);
+        o.close();
+    }
+
+    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        let sweep = match v {
+            Json::Str(text) => BudgetSweep::parse(text).map_err(ProtocolError)?,
+            Json::Obj(_) => BudgetSweep {
+                axis: required::<Plain, String>(v, "axis")?
+                    .parse::<BudgetAxis>()
+                    .map_err(ProtocolError)?,
+                values: required::<Plain, _>(v, "values")?,
+            },
+            _ => return Err(bad(format!("'{key}' must be an object or a string"))),
+        };
+        sweep.validate().map_err(ProtocolError)?;
+        Ok(sweep)
+    }
+}
+
+wire_struct! { FrontierTuneRequest as _r { ..base, "sweep": sweep } }
+
+wire_struct! { TraceContext as _c { "id": id, "parent": parent omit } check nonzero_trace }
+
+fn nonzero_trace(ctx: &mut TraceContext) -> Result<(), ProtocolError> {
+    if ctx.id == 0 {
+        return Err(bad("'trace' id must be non-zero"));
+    }
+    Ok(())
+}
+
+// Requests and replies share the envelope table; replies only ever
+// carry `req`.
+wire_struct! { RequestMeta as _m { "trace": trace omit, "req": req_id omit } }
+
+/// The frontier request's `"axes"` selector: `"sqnr"` swaps the area
+/// axis for measured SQNR, `"gates"` (the default) keeps it.
+struct SqnrAxes;
+
+impl Codec<bool> for SqnrAxes {
+    fn put(_: &bool, out: &mut String) {
+        out.push_str("\"sqnr\"");
+    }
+
+    fn take(v: &Json, _: &str) -> Result<bool, ProtocolError> {
+        match v.as_str() {
+            Some("gates") => Ok(false),
+            Some("sqnr") => Ok(true),
+            _ => Err(bad("'axes' must be \"gates\" or \"sqnr\"")),
+        }
+    }
+
+    fn is_empty(sqnr: &bool) -> bool {
+        !*sqnr
+    }
+}
+
+fn check_frontier(request: &mut Request) -> Result<(), ProtocolError> {
+    if let Request::Frontier { dims, sqnr, .. } = *request {
+        if !(dims == 2 || dims == 3) {
+            return Err(bad("'dims' must be 2 or 3"));
+        }
+        if sqnr && dims != 3 {
+            return Err(bad("the sqnr frontier is 3-dimensional; use dims 3"));
+        }
+    }
+    Ok(())
+}
+
+wire_enum! { Request, "type", "request type" {
+    Eval { 0: point } = "eval" { "point": point = paper() },
+    EvalBatch { 0: points } = "eval_batch" { "points": points },
+    Sweep { 0: spec } = "sweep" { "spec": spec },
+    Tune { 0: request } = "tune" { ..request },
+    TuneFrontier { 0: request } = "tune_frontier" { ..request },
+    Frontier { dims, sqnr, stream } = "frontier" {
+        "dims": dims = 3,
+        "axes": sqnr omit via SqnrAxes,
+        "stream": stream omit,
+    } check check_frontier,
+    Stats {} = "stats" {},
+    Metrics {} = "metrics" {},
+    MetricsHistory {} = "metrics_history" {},
+    Watch { samples } = "watch" { "samples": samples dflt },
+    TraceQuery { id } = "trace_query" { "id": id },
+    Dump {} = "dump" {},
+    Shutdown {} = "shutdown" {},
+} }
+
+wire_struct! { PointResult as r {
+    "status" => "ok",
+    "fps": fps,
+    "achieved_gops": achieved_gops,
+    "peak_gops": peak_gops,
+    "chip_mw": chip_mw,
+    "dram_mw": dram_mw,
+    "system_mw" => r.system_mw(),
+    "gops_per_watt" => r.gops_per_watt(),
+    "gates_k": gates_k,
+    "sram_kb": sram_kb,
+    "sqnr_db": sqnr_db,
+} }
+
+/// An outcome is a feasible result (`"status":"ok"`, written by the
+/// result's own table) or an infeasibility reason.
+impl Fields for PointOutcome {
+    fn put_fields(&self, o: &mut Obj<'_>) {
+        match self {
+            PointOutcome::Feasible(r) => r.put_fields(o),
+            PointOutcome::Infeasible(reason) => {
+                o.key("status").push_str("\"infeasible\"");
+                o.put("reason", reason);
+            }
+        }
+    }
+
+    fn take_fields(v: &Json) -> Result<Self, ProtocolError> {
+        match v.get("status").and_then(Json::as_str) {
+            Some("ok") => Ok(PointOutcome::Feasible(PointResult::take_fields(v)?)),
+            Some("infeasible") => Ok(PointOutcome::Infeasible(
+                optional::<Plain, _>(v, "reason")?.unwrap_or_else(|| "unspecified".into()),
+            )),
+            _ => Err(bad("missing or unknown 'status'")),
+        }
+    }
+}
+
+wire_struct! { MixResult as r {
+    "fps": fps,
+    "chip_mw": chip_mw,
+    "dram_mw": dram_mw,
+    "system_mw" => r.system_mw(),
+    "peak_gops": peak_gops,
+    "gops_per_watt" => r.gops_per_watt(),
+    "gates_k": gates_k,
+    "sram_kb": sram_kb,
+    "sqnr_db": sqnr_db,
+} }
+
+wire_struct! { Tuned as _t { "admitted": admitted dflt, "point": point, ..result } }
+
+/// A tune's winner block: `"found"`, then the winner's rows when there
+/// is one.
+impl Fields for Option<Tuned> {
+    fn put_fields(&self, o: &mut Obj<'_>) {
+        o.put("found", &self.is_some());
+        if let Some(t) = self {
+            t.put_fields(o);
+        }
+    }
+
+    fn take_fields(v: &Json) -> Result<Self, ProtocolError> {
+        if required::<Plain, bool>(v, "found")? {
+            Tuned::take_fields(v).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+wire_struct! { Objectives as _o {
+    "fps": fps dflt,
+    "system_mw": system_mw dflt,
+    "gates_k": gates_k dflt,
+    "sqnr_db": sqnr_db dflt,
+} }
+
+/// A frontier candidate: its grid index, then its objectives.
+impl Fields for (usize, Objectives) {
+    fn put_fields(&self, o: &mut Obj<'_>) {
+        o.put("i", &self.0);
+        self.1.put_fields(o);
+    }
+
+    fn take_fields(v: &Json) -> Result<Self, ProtocolError> {
+        Ok((required::<Plain, _>(v, "i")?, Objectives::take_fields(v)?))
+    }
+}
+
+object_wire!(PointOutcome, (usize, Objectives));
+
+wire_struct! { SweepSummary as _s {
+    "points": points dflt,
+    "feasible": feasible dflt,
+    "cache_hits": cache_hits dflt,
+    "cache_misses": cache_misses dflt,
+    "wall_ms": wall_ms dflt,
+    "frontier_3d": frontier_3d,
+    "frontier_sqnr": frontier_sqnr,
+    "candidates": candidates omit,
+    "degraded": degraded omit,
+} }
+
+wire_struct! { TuneSummary as _s {
+    ..best,
+    "evaluations": evaluations dflt,
+    "cache_hits": cache_hits dflt,
+    "cache_misses": cache_misses dflt,
+    "rounds": rounds dflt,
+    "exhaustive_points": exhaustive_points dflt,
+    "degraded": degraded omit,
+} }
+
+wire_struct! { FrontierStep as _s {
+    // Required, not defaulted: a NaN budget would poison every
+    // PartialEq on the step downstream.
+    "budget_value": budget_value,
+    ..best,
+    "evaluations": evaluations dflt,
+    "fresh_evaluations": fresh_evaluations dflt,
+    "cache_hits": cache_hits dflt,
+    "cache_misses": cache_misses dflt,
+    "rounds": rounds dflt,
+} }
+
+wire_struct! { FrontierStepSummary as _s { "step": step dflt, "steps": steps dflt, ..result } }
+
+wire_struct! { FrontierDoneSummary as _s {
+    "steps": steps dflt,
+    "frontier": frontier,
+    "evaluations": evaluations dflt,
+    "standalone_evaluations": standalone_evaluations dflt,
+    "cache_hits": cache_hits dflt,
+    "cache_misses": cache_misses dflt,
+    "exhaustive_points": exhaustive_points dflt,
+} }
+
+wire_struct! { FrontierEntry as _e { "point": point, ..result } }
+
+wire_struct! { ShardStat as _s {
+    "addr": addr,
+    "requests": requests dflt,
+    "errors": errors dflt,
+    "degraded": degraded omit,
+} }
+
+// Every counter defaults to 0, so replies from daemons predating a
+// field still decode.
+wire_struct! { ServerStats as _s {
+    "cached_points": cached_points dflt,
+    "hits": hits dflt,
+    "misses": misses dflt,
+    "hit_rate": hit_rate dflt,
+    "requests": requests dflt,
+    "active_jobs": active_jobs dflt,
+    "queue_capacity": queue_capacity dflt,
+    "open_connections": open_connections dflt,
+    "max_connections": max_connections dflt,
+    "threads": threads dflt,
+    "loaded_from_disk": loaded_from_disk dflt,
+    "persistent": persistent dflt,
+    "uptime_s": uptime_s dflt,
+    "inflight_requests": inflight_requests dflt,
+    "queue_depth": queue_depth dflt,
+    "slos": slos dflt,
+    "slo_breach_ticks": slo_breach_ticks dflt,
+    "shards": shards omit,
+} }
+
+wire_struct! { HistogramSummary as _h {
+    "count": count dflt,
+    "sum": sum dflt,
+    "p50": p50 dflt,
+    "p95": p95 dflt,
+    "p99": p99 dflt,
+    "max": max dflt,
+} }
+
+wire_enum! { MetricValue, "kind", "metric kind" {
+    Counter { 0: value } = "counter" { "value": value },
+    Gauge { 0: value } = "gauge" { "value": value dflt },
+    Histogram { 0: summary } = "histogram" { ..summary },
+} }
+
+wire_struct! { MetricEntry as _e { "name": name, "labels": labels omit, ..value } }
+
+wire_struct! { Snapshot as _s { "uptime_s": uptime_s dflt, "metrics": entries } }
+
+wire_struct! { HistoryTypeWindow as _t {
+    "kind": kind,
+    "requests": requests dflt,
+    "p50_us": p50_us dflt,
+    "p99_us": p99_us dflt,
+} }
+
+wire_struct! { HistoryWindow as _w {
+    "window_s": window_s dflt,
+    "duration_s": duration_s dflt,
+    "samples": samples dflt,
+    "req_per_sec": req_per_sec dflt,
+    "points_per_sec": points_per_sec dflt,
+    "types": types,
+} }
+
+wire_struct! { MetricsHistory as _h {
+    "interval_s": interval_s dflt,
+    "samples": samples dflt,
+    "capacity": capacity dflt,
+    "windows": windows,
+} }
+
+wire_struct! { WatchSample as _s {
+    "seq": seq,
+    "interval_s": interval_s dflt,
+    "window_s": window_s dflt,
+    "req_per_sec": req_per_sec dflt,
+    "points_per_sec": points_per_sec dflt,
+    "inflight": inflight dflt,
+    "active_jobs": active_jobs dflt,
+    "queue_depth": queue_depth dflt,
+    "cache_hit_rate": cache_hit_rate dflt,
+    "requests_total": requests_total dflt,
+    "queue_wait_p99_us": queue_wait_p99_us dflt,
+    "execute_p99_us": execute_p99_us dflt,
+    "types": types,
+} }
+
+// One span of a trace reply. Its trace id is the reply's `id`, not
+// repeated per span ([`adopt_trace_id`] restores it on decode).
+wire_struct! { SpanRecord as _s {
+    "span": span_id,
+    "parent": parent_id dflt,
+    "name": name,
+    "start_us": start_us dflt,
+    "dur_us": dur_us dflt,
+    "worker": worker omit,
+    "points": points omit,
+    trace_id = 0,
+} }
+
+fn adopt_trace_id(reply: &mut Response) -> Result<(), ProtocolError> {
+    if let Response::Trace { id, spans, .. } = reply {
+        for span in spans {
+            span.trace_id = *id;
+        }
+    }
+    Ok(())
+}
+
+// `ok:true` replies. The `ok:false` replies (`busy`, `error`) are the
+// envelope's other branch, written by `Response::encode_with_req`.
+wire_enum! { Response, "type", "response type" {
+    Eval { point, outcome } = "eval" { "point": point, ..outcome },
+    EvalBatch { outcomes, cache_hits, cache_misses } = "eval_batch" {
+        "cache_hits": cache_hits dflt,
+        "cache_misses": cache_misses dflt,
+        "outcomes": outcomes,
+    },
+    Sweep { 0: summary } = "sweep" { ..summary },
+    Tune { 0: summary } = "tune" { ..summary },
+    TuneFrontierDone { 0: summary } = "tune_frontier" if "done" { "done" => true, ..summary },
+    TuneFrontierStep { 0: summary } = "tune_frontier" { ..summary },
+    FrontierStreamDone { dims, entries, degraded } = "frontier" if "done" {
+        "done" => true,
+        "dims": dims = 3,
+        "entries": entries dflt,
+        "degraded": degraded omit,
+    },
+    FrontierStreamEntry { entry } = "frontier" if "stream" { "stream" => true, ..entry },
+    Frontier { dims, entries, degraded } = "frontier" {
+        "dims": dims = 3,
+        "entries": entries,
+        "degraded": degraded omit,
+    },
+    Stats { 0: stats } = "stats" { ..stats },
+    Metrics { snapshot } = "metrics" { ..snapshot },
+    MetricsHistory { 0: history } = "metrics_history" { ..history },
+    WatchDone { samples } = "watch" if "done" { "done" => true, "samples": samples dflt },
+    WatchSample { 0: sample } = "watch" { ..sample },
+    Trace { id, dropped, spans } = "trace" {
+        "id": id,
+        "dropped": dropped dflt,
+        "spans": spans,
+    } check adopt_trace_id,
+    Dump { path, spans, dropped } = "dump" {
+        "path": path,
+        "spans": spans dflt,
+        "dropped": dropped dflt,
+    },
+    Shutdown {} = "shutdown" {},
+} }
+
+// ------------------------------------------------------------ line codec
+
+fn parse(line: &str) -> Result<Json, ProtocolError> {
+    Json::parse(line).map_err(|e| bad(e.to_string()))
 }
 
 impl Request {
@@ -720,112 +1136,57 @@ impl Request {
     /// The single-line wire form (no trailing newline; the transport
     /// adds it).
     pub fn encode(&self) -> String {
-        self.to_json().to_string()
+        self.encode_with_meta(None, None)
     }
 
-    /// The wire form carrying a propagated trace context: the same
-    /// line [`Request::encode`] produces plus a
-    /// `"trace":{"id":...,"parent":...}` field (`parent` omitted when
-    /// 0). Daemons that predate tracing ignore the extra field.
-    pub fn encode_with_trace(&self, ctx: TraceContext) -> String {
-        self.encode_with_meta(Some(ctx), None)
-    }
-
-    /// The wire form carrying the optional trace context plus an
-    /// optional pipelining request id (`"req":N`). A daemon echoes the
-    /// id on **every** reply line for the request — including streamed
-    /// lines and the terminal `done` line — so a pipelining client can
-    /// match replies to requests instead of assuming strict
-    /// request/reply alternation. Daemons predating pipelining ignore
-    /// the field.
+    /// The wire form carrying the optional trace context
+    /// (`"trace":{"id":...,"parent":...}`, `parent` omitted when 0)
+    /// plus an optional pipelining request id (`"req":N`), both right
+    /// after `"type"`. A daemon echoes the id on **every** reply line
+    /// for the request — including streamed lines and the terminal
+    /// `done` line — so a pipelining client can match replies to
+    /// requests instead of assuming strict request/reply alternation.
+    /// Daemons predating tracing or pipelining ignore the fields.
     pub fn encode_with_meta(&self, ctx: Option<TraceContext>, req_id: Option<u64>) -> String {
-        let Json::Obj(mut fields) = self.to_json() else {
-            unreachable!("requests encode as objects");
-        };
-        // Right after "type", so the wire reads naturally.
-        let mut at = 1.min(fields.len());
-        if let Some(ctx) = ctx {
-            let mut trace_fields = vec![("id".to_owned(), unum(ctx.id))];
-            if ctx.parent != 0 {
-                trace_fields.push(("parent".to_owned(), unum(ctx.parent)));
-            }
-            fields.insert(at, ("trace".to_owned(), Json::Obj(trace_fields)));
-            at += 1;
-        }
-        if let Some(id) = req_id {
-            fields.insert(at.min(fields.len()), ("req".to_owned(), unum(id)));
-        }
-        Json::Obj(fields).to_string()
+        let meta = RequestMeta { trace: ctx, req_id };
+        let mut out = String::with_capacity(128);
+        let mut o = Obj::open(&mut out);
+        self.put_tagged(&mut o, |o| meta.put_fields(o));
+        o.close();
+        out
     }
 
-    fn to_json(&self) -> Json {
-        match self {
-            Request::Eval(point) => Json::Obj(vec![
-                ("type".into(), Json::Str("eval".into())),
-                ("point".into(), point_to_json(point)),
-            ]),
-            Request::EvalBatch(points) => Json::Obj(vec![
-                ("type".into(), Json::Str("eval_batch".into())),
-                (
-                    "points".into(),
-                    Json::Arr(points.iter().map(point_to_json).collect()),
-                ),
-            ]),
-            Request::Sweep(spec) => Json::Obj(vec![
-                ("type".into(), Json::Str("sweep".into())),
-                ("spec".into(), spec_to_json(spec)),
-            ]),
-            Request::Tune(req) => Json::Obj(tune_fields("tune", req)),
-            Request::TuneFrontier(req) => {
-                let mut fields = tune_fields("tune_frontier", &req.base);
-                fields.push((
-                    "sweep".into(),
-                    Json::Obj(vec![
-                        ("axis".into(), Json::Str(req.sweep.axis.name().into())),
-                        (
-                            "values".into(),
-                            Json::Arr(req.sweep.values.iter().map(|&v| num(v)).collect()),
-                        ),
-                    ]),
-                ));
-                Json::Obj(fields)
-            }
-            Request::Frontier { dims, sqnr, stream } => {
-                let mut fields = vec![
-                    ("type".into(), Json::Str("frontier".into())),
-                    ("dims".into(), unum(u64::from(*dims))),
-                ];
-                if *sqnr {
-                    fields.push(("axes".into(), Json::Str("sqnr".into())));
-                }
-                if *stream {
-                    fields.push(("stream".into(), Json::Bool(true)));
-                }
-                Json::Obj(fields)
-            }
-            Request::Stats => Json::Obj(vec![("type".into(), Json::Str("stats".into()))]),
-            Request::Metrics => Json::Obj(vec![("type".into(), Json::Str("metrics".into()))]),
-            Request::MetricsHistory => {
-                Json::Obj(vec![("type".into(), Json::Str("metrics_history".into()))])
-            }
-            Request::Watch { samples } => Json::Obj(vec![
-                ("type".into(), Json::Str("watch".into())),
-                ("samples".into(), unum(*samples)),
-            ]),
-            Request::TraceQuery { id } => Json::Obj(vec![
-                ("type".into(), Json::Str("trace_query".into())),
-                ("id".into(), unum(*id)),
-            ]),
-            Request::Dump => Json::Obj(vec![("type".into(), Json::Str("dump".into()))]),
-            Request::Shutdown => Json::Obj(vec![("type".into(), Json::Str("shutdown".into()))]),
-        }
+    /// Parses one request line.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError`] on unparseable JSON, a missing/unknown
+    /// `"type"`, or missing/mistyped fields.
+    pub fn decode(line: &str) -> Result<Request, ProtocolError> {
+        Request::take_tagged(&parse(line)?)
+    }
+
+    /// Parses one request line together with its transport envelope:
+    /// the optional `"trace"` context and the optional pipelining id
+    /// `"req"`. The daemon's session loop uses this to tag every span
+    /// of the request and to echo `"req"` on every reply line.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Request::decode`] rejects, plus a malformed
+    /// `"trace"` object (missing/zero `id`, mistyped fields) or a
+    /// non-integer `"req"`.
+    pub fn decode_with_meta(line: &str) -> Result<(Request, RequestMeta), ProtocolError> {
+        let v = parse(line)?;
+        let meta = RequestMeta::take_fields(&v)?;
+        Ok((Request::take_tagged(&v)?, meta))
     }
 }
 
 impl Response {
     /// The single-line wire form (no trailing newline).
     pub fn encode(&self) -> String {
-        self.to_json().to_string()
+        self.encode_with_req(None)
     }
 
     /// The wire form echoing a pipelining request id: the same line
@@ -834,1018 +1195,40 @@ impl Response {
     /// this for every line it writes in reply to a request that
     /// carried `"req"`.
     pub fn encode_with_req(&self, req_id: Option<u64>) -> String {
-        let Some(id) = req_id else {
-            return self.encode();
+        let meta = RequestMeta {
+            trace: None,
+            req_id,
         };
-        let Json::Obj(mut fields) = self.to_json() else {
-            unreachable!("responses encode as objects");
-        };
-        fields.insert(2.min(fields.len()), ("req".to_owned(), unum(id)));
-        Json::Obj(fields).to_string()
-    }
-
-    fn to_json(&self) -> Json {
+        let mut out = String::with_capacity(256);
+        let mut o = Obj::open(&mut out);
         match self {
-            Response::Eval { point, outcome } => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("eval".into())),
-                    ("point".into(), point_to_json(point)),
-                ];
-                fields.extend(outcome_fields(outcome));
-                Json::Obj(fields)
+            Response::Busy { active, capacity } => {
+                o.put("ok", &false);
+                write_escaped(o.key("error"), "busy");
+                meta.put_fields(&mut o);
+                o.put("active", active);
+                o.put("capacity", capacity);
             }
-            Response::EvalBatch {
-                outcomes,
-                cache_hits,
-                cache_misses,
-            } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("eval_batch".into())),
-                ("cache_hits".into(), unum(*cache_hits)),
-                ("cache_misses".into(), unum(*cache_misses)),
-                (
-                    "outcomes".into(),
-                    Json::Arr(
-                        outcomes
-                            .iter()
-                            .map(|o| Json::Obj(outcome_fields(o)))
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::Sweep(s) => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("sweep".into())),
-                    ("points".into(), unum(s.points as u64)),
-                    ("feasible".into(), unum(s.feasible as u64)),
-                    ("cache_hits".into(), unum(s.cache_hits)),
-                    ("cache_misses".into(), unum(s.cache_misses)),
-                    ("wall_ms".into(), num(s.wall_ms)),
-                    (
-                        "frontier_3d".into(),
-                        Json::Arr(s.frontier_3d.iter().map(|&i| unum(i as u64)).collect()),
-                    ),
-                    (
-                        "frontier_sqnr".into(),
-                        Json::Arr(s.frontier_sqnr.iter().map(|&i| unum(i as u64)).collect()),
-                    ),
-                ];
-                if !s.candidates.is_empty() {
-                    fields.push((
-                        "candidates".into(),
-                        Json::Arr(
-                            s.candidates
-                                .iter()
-                                .map(|(i, o)| {
-                                    Json::Obj(vec![
-                                        ("i".into(), unum(*i as u64)),
-                                        ("fps".into(), num(o.fps)),
-                                        ("system_mw".into(), num(o.system_mw)),
-                                        ("gates_k".into(), num(o.gates_k)),
-                                        ("sqnr_db".into(), num(o.sqnr_db)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
-                }
-                if s.degraded {
-                    fields.push(("degraded".into(), Json::Bool(true)));
-                }
-                Json::Obj(fields)
+            Response::Error { message } => {
+                o.put("ok", &false);
+                o.put("error", message);
+                meta.put_fields(&mut o);
             }
-            Response::Tune(s) => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("tune".into())),
-                    ("found".into(), Json::Bool(s.best.is_some())),
-                ];
-                if let Some(t) = &s.best {
-                    fields.push(("admitted".into(), Json::Bool(t.admitted)));
-                    fields.push(("point".into(), point_to_json(&t.point)));
-                    fields.extend(mix_result_fields(&t.result));
-                }
-                fields.extend([
-                    ("evaluations".into(), unum(s.evaluations)),
-                    ("cache_hits".into(), unum(s.cache_hits)),
-                    ("cache_misses".into(), unum(s.cache_misses)),
-                    ("rounds".into(), unum(s.rounds as u64)),
-                    ("exhaustive_points".into(), unum(s.exhaustive_points as u64)),
-                ]);
-                if s.degraded {
-                    fields.push(("degraded".into(), Json::Bool(true)));
-                }
-                Json::Obj(fields)
+            _ => {
+                o.put("ok", &true);
+                self.put_tagged(&mut o, |o| meta.put_fields(o));
             }
-            Response::TuneFrontierStep(s) => {
-                let step = &s.result;
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("tune_frontier".into())),
-                    ("step".into(), unum(s.step as u64)),
-                    ("steps".into(), unum(s.steps as u64)),
-                    ("budget_value".into(), num(step.budget_value)),
-                    ("found".into(), Json::Bool(step.best.is_some())),
-                ];
-                if let Some(t) = &step.best {
-                    fields.push(("admitted".into(), Json::Bool(t.admitted)));
-                    fields.push(("point".into(), point_to_json(&t.point)));
-                    fields.extend(mix_result_fields(&t.result));
-                }
-                fields.extend([
-                    ("evaluations".into(), unum(step.evaluations)),
-                    ("fresh_evaluations".into(), unum(step.fresh_evaluations)),
-                    ("cache_hits".into(), unum(step.cache_hits)),
-                    ("cache_misses".into(), unum(step.cache_misses)),
-                    ("rounds".into(), unum(step.rounds as u64)),
-                ]);
-                Json::Obj(fields)
-            }
-            Response::TuneFrontierDone(s) => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("tune_frontier".into())),
-                ("done".into(), Json::Bool(true)),
-                ("steps".into(), unum(s.steps as u64)),
-                (
-                    "frontier".into(),
-                    Json::Arr(s.frontier.iter().map(|&i| unum(i as u64)).collect()),
-                ),
-                ("evaluations".into(), unum(s.evaluations)),
-                (
-                    "standalone_evaluations".into(),
-                    unum(s.standalone_evaluations),
-                ),
-                ("cache_hits".into(), unum(s.cache_hits)),
-                ("cache_misses".into(), unum(s.cache_misses)),
-                ("exhaustive_points".into(), unum(s.exhaustive_points as u64)),
-            ]),
-            Response::FrontierStreamEntry { entry } => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("frontier".into())),
-                    ("stream".into(), Json::Bool(true)),
-                    ("point".into(), point_to_json(&entry.point)),
-                ];
-                fields.extend(result_fields(&entry.result));
-                Json::Obj(fields)
-            }
-            Response::FrontierStreamDone {
-                dims,
-                entries,
-                degraded,
-            } => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("frontier".into())),
-                    ("done".into(), Json::Bool(true)),
-                    ("dims".into(), unum(u64::from(*dims))),
-                    ("entries".into(), unum(*entries as u64)),
-                ];
-                if *degraded {
-                    fields.push(("degraded".into(), Json::Bool(true)));
-                }
-                Json::Obj(fields)
-            }
-            Response::Frontier {
-                dims,
-                entries,
-                degraded,
-            } => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("frontier".into())),
-                    ("dims".into(), unum(u64::from(*dims))),
-                    (
-                        "entries".into(),
-                        Json::Arr(
-                            entries
-                                .iter()
-                                .map(|e| {
-                                    let mut fields =
-                                        vec![("point".into(), point_to_json(&e.point))];
-                                    fields.extend(result_fields(&e.result));
-                                    Json::Obj(fields)
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ];
-                if *degraded {
-                    fields.push(("degraded".into(), Json::Bool(true)));
-                }
-                Json::Obj(fields)
-            }
-            Response::Stats(st) => {
-                let mut fields = vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("stats".into())),
-                    ("cached_points".into(), unum(st.cached_points as u64)),
-                    ("hits".into(), unum(st.hits)),
-                    ("misses".into(), unum(st.misses)),
-                    ("hit_rate".into(), num(st.hit_rate)),
-                    ("requests".into(), unum(st.requests)),
-                    ("active_jobs".into(), unum(st.active_jobs as u64)),
-                    ("queue_capacity".into(), unum(st.queue_capacity as u64)),
-                    ("open_connections".into(), unum(st.open_connections as u64)),
-                    ("max_connections".into(), unum(st.max_connections as u64)),
-                    ("threads".into(), unum(st.threads as u64)),
-                    ("loaded_from_disk".into(), unum(st.loaded_from_disk as u64)),
-                    ("persistent".into(), Json::Bool(st.persistent)),
-                    ("uptime_s".into(), num(st.uptime_s)),
-                    (
-                        "inflight_requests".into(),
-                        unum(st.inflight_requests as u64),
-                    ),
-                    ("queue_depth".into(), unum(st.queue_depth as u64)),
-                    ("slos".into(), unum(st.slos as u64)),
-                    ("slo_breach_ticks".into(), unum(st.slo_breach_ticks)),
-                ];
-                if !st.shards.is_empty() {
-                    fields.push((
-                        "shards".into(),
-                        Json::Arr(
-                            st.shards
-                                .iter()
-                                .map(|s| {
-                                    let mut f = vec![
-                                        ("addr".into(), Json::Str(s.addr.clone())),
-                                        ("requests".into(), unum(s.requests)),
-                                        ("errors".into(), unum(s.errors)),
-                                    ];
-                                    if s.degraded {
-                                        f.push(("degraded".into(), Json::Bool(true)));
-                                    }
-                                    Json::Obj(f)
-                                })
-                                .collect(),
-                        ),
-                    ));
-                }
-                Json::Obj(fields)
-            }
-            Response::Metrics { snapshot } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("metrics".into())),
-                ("uptime_s".into(), num(snapshot.uptime_s)),
-                (
-                    "metrics".into(),
-                    Json::Arr(snapshot.entries.iter().map(metric_entry_to_json).collect()),
-                ),
-            ]),
-            Response::MetricsHistory(h) => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("metrics_history".into())),
-                ("interval_s".into(), num(h.interval_s)),
-                ("samples".into(), unum(h.samples)),
-                ("capacity".into(), unum(h.capacity as u64)),
-                (
-                    "windows".into(),
-                    Json::Arr(
-                        h.windows
-                            .iter()
-                            .map(|w| {
-                                Json::Obj(vec![
-                                    ("window_s".into(), num(w.window_s)),
-                                    ("duration_s".into(), num(w.duration_s)),
-                                    ("samples".into(), unum(w.samples as u64)),
-                                    ("req_per_sec".into(), num(w.req_per_sec)),
-                                    ("points_per_sec".into(), num(w.points_per_sec)),
-                                    ("types".into(), type_windows_to_json(&w.types)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::WatchSample(s) => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("watch".into())),
-                ("seq".into(), unum(s.seq)),
-                ("interval_s".into(), num(s.interval_s)),
-                ("window_s".into(), num(s.window_s)),
-                ("req_per_sec".into(), num(s.req_per_sec)),
-                ("points_per_sec".into(), num(s.points_per_sec)),
-                ("inflight".into(), unum(s.inflight)),
-                ("active_jobs".into(), unum(s.active_jobs)),
-                ("queue_depth".into(), unum(s.queue_depth)),
-                ("cache_hit_rate".into(), num(s.cache_hit_rate)),
-                ("requests_total".into(), unum(s.requests_total)),
-                ("queue_wait_p99_us".into(), num(s.queue_wait_p99_us)),
-                ("execute_p99_us".into(), num(s.execute_p99_us)),
-                ("types".into(), type_windows_to_json(&s.types)),
-            ]),
-            Response::WatchDone { samples } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("watch".into())),
-                ("done".into(), Json::Bool(true)),
-                ("samples".into(), unum(*samples)),
-            ]),
-            Response::Trace { id, dropped, spans } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("trace".into())),
-                ("id".into(), unum(*id)),
-                ("dropped".into(), unum(*dropped)),
-                (
-                    "spans".into(),
-                    Json::Arr(spans.iter().map(span_to_json).collect()),
-                ),
-            ]),
-            Response::Dump {
-                path,
-                spans,
-                dropped,
-            } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("dump".into())),
-                ("path".into(), Json::Str(path.clone())),
-                ("spans".into(), unum(*spans as u64)),
-                ("dropped".into(), unum(*dropped)),
-            ]),
-            Response::Shutdown => Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("type".into(), Json::Str("shutdown".into())),
-            ]),
-            Response::Busy { active, capacity } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(false)),
-                ("error".into(), Json::Str("busy".into())),
-                ("active".into(), unum(*active as u64)),
-                ("capacity".into(), unum(*capacity as u64)),
-            ]),
-            Response::Error { message } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(false)),
-                ("error".into(), Json::Str(message.clone())),
-            ]),
         }
-    }
-}
-
-fn type_windows_to_json(types: &[HistoryTypeWindow]) -> Json {
-    Json::Arr(
-        types
-            .iter()
-            .map(|t| {
-                Json::Obj(vec![
-                    ("kind".into(), Json::Str(t.kind.clone())),
-                    ("requests".into(), unum(t.requests)),
-                    ("p50_us".into(), num(t.p50_us)),
-                    ("p99_us".into(), num(t.p99_us)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// One span of a `trace` reply. The span's trace id is implied by the
-/// reply-level `id` and not repeated per span.
-pub(crate) fn span_to_json(s: &SpanRecord) -> Json {
-    let mut fields = vec![
-        ("span".into(), unum(s.span_id)),
-        ("parent".into(), unum(s.parent_id)),
-        ("name".into(), Json::Str(s.name.clone())),
-        ("start_us".into(), unum(s.start_us)),
-        ("dur_us".into(), unum(s.dur_us)),
-    ];
-    if let Some(w) = s.worker {
-        fields.push(("worker".into(), unum(u64::from(w))));
-    }
-    if s.points != 0 {
-        fields.push(("points".into(), unum(u64::from(s.points))));
-    }
-    Json::Obj(fields)
-}
-
-pub(crate) fn metric_entry_to_json(entry: &MetricEntry) -> Json {
-    let mut fields = vec![("name".into(), Json::Str(entry.name.clone()))];
-    if !entry.labels.is_empty() {
-        fields.push((
-            "labels".into(),
-            Json::Obj(
-                entry
-                    .labels
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect(),
-            ),
-        ));
-    }
-    match &entry.value {
-        MetricValue::Counter(v) => {
-            fields.push(("kind".into(), Json::Str("counter".into())));
-            fields.push(("value".into(), unum(*v)));
-        }
-        MetricValue::Gauge(v) => {
-            fields.push(("kind".into(), Json::Str("gauge".into())));
-            fields.push(("value".into(), num(*v)));
-        }
-        MetricValue::Histogram(h) => {
-            fields.push(("kind".into(), Json::Str("histogram".into())));
-            fields.push(("count".into(), unum(h.count)));
-            fields.push(("sum".into(), unum(h.sum)));
-            fields.push(("p50".into(), num(h.p50)));
-            fields.push(("p95".into(), num(h.p95)));
-            fields.push(("p99".into(), num(h.p99)));
-            fields.push(("max".into(), num(h.max)));
-        }
-    }
-    Json::Obj(fields)
-}
-
-// ---------------------------------------------------------------- decode
-
-fn span_from_json(trace_id: u64, v: &Json) -> Result<SpanRecord, ProtocolError> {
-    Ok(SpanRecord {
-        trace_id,
-        span_id: v
-            .get("span")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("span entry needs an integer 'span'"))?,
-        parent_id: get_usize(v, "parent", 0)? as u64,
-        name: v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("span entry needs a string 'name'"))?
-            .to_owned(),
-        start_us: get_usize(v, "start_us", 0)? as u64,
-        dur_us: get_usize(v, "dur_us", 0)? as u64,
-        worker: match v.get("worker") {
-            None => None,
-            Some(w) => Some(
-                w.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| bad("span 'worker' must be a small integer"))?,
-            ),
-        },
-        points: u32::try_from(get_usize(v, "points", 0)?)
-            .map_err(|_| bad("span 'points' out of range"))?,
-    })
-}
-
-fn metric_entry_from_json(v: &Json) -> Result<MetricEntry, ProtocolError> {
-    let name = v
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("metric entry needs a string 'name'"))?
-        .to_owned();
-    let labels = match v.get("labels") {
-        None => Vec::new(),
-        Some(Json::Obj(pairs)) => pairs
-            .iter()
-            .map(|(k, lv)| {
-                lv.as_str()
-                    .map(|s| (k.clone(), s.to_owned()))
-                    .ok_or_else(|| bad("metric labels must be strings"))
-            })
-            .collect::<Result<_, ProtocolError>>()?,
-        Some(_) => return Err(bad("'labels' must be an object")),
-    };
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("metric entry needs a string 'kind'"))?;
-    let value = match kind {
-        "counter" => MetricValue::Counter(
-            v.get("value")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("counter metric needs an integer 'value'"))?,
-        ),
-        "gauge" => MetricValue::Gauge(get_f64(v, "value", 0.0)?),
-        "histogram" => MetricValue::Histogram(HistogramSummary {
-            count: v.get("count").and_then(Json::as_u64).unwrap_or(0),
-            sum: v.get("sum").and_then(Json::as_u64).unwrap_or(0),
-            p50: get_f64(v, "p50", 0.0)?,
-            p95: get_f64(v, "p95", 0.0)?,
-            p99: get_f64(v, "p99", 0.0)?,
-            max: get_f64(v, "max", 0.0)?,
-        }),
-        other => return Err(bad(format!("unknown metric kind '{other}'"))),
-    };
-    Ok(MetricEntry {
-        name,
-        labels,
-        value,
-    })
-}
-
-fn type_windows_from_json(v: &Json) -> Result<Vec<HistoryTypeWindow>, ProtocolError> {
-    v.get("types")
-        .and_then(Json::as_array)
-        .ok_or_else(|| bad("windowed reply needs a 'types' array"))?
-        .iter()
-        .map(|t| {
-            Ok(HistoryTypeWindow {
-                kind: t
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("type window needs a string 'kind'"))?
-                    .to_owned(),
-                requests: get_usize(t, "requests", 0)? as u64,
-                p50_us: get_f64(t, "p50_us", 0.0)?,
-                p99_us: get_f64(t, "p99_us", 0.0)?,
-            })
-        })
-        .collect()
-}
-
-fn get_usize(obj: &Json, key: &str, default: usize) -> Result<usize, ProtocolError> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .map(|n| n as usize)
-            .ok_or_else(|| bad(format!("'{key}' must be a non-negative integer"))),
-    }
-}
-
-fn get_f64(obj: &Json, key: &str, default: f64) -> Result<f64, ProtocolError> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| bad(format!("'{key}' must be a number"))),
-    }
-}
-
-fn point_from_json(v: &Json) -> Result<DesignPoint, ProtocolError> {
-    if !matches!(v, Json::Obj(_)) {
-        return Err(bad("'point' must be an object"));
-    }
-    let d = DesignPoint::paper_alexnet();
-    Ok(DesignPoint {
-        pes: get_usize(v, "pes", d.pes)?,
-        freq_mhz: get_f64(v, "freq_mhz", d.freq_mhz)?,
-        kmem_depth: get_usize(v, "kmem_depth", d.kmem_depth)?,
-        imem_kb: get_usize(v, "imem_kb", d.imem_kb)?,
-        omem_kb: get_usize(v, "omem_kb", d.omem_kb)?,
-        word_bits: u32::try_from(get_usize(v, "word_bits", d.word_bits as usize)?)
-            .map_err(|_| bad("'word_bits' out of range"))?,
-        batch: get_usize(v, "batch", d.batch)?,
-        net: match v.get("net") {
-            None => d.net,
-            Some(n) => n
-                .as_str()
-                .ok_or_else(|| bad("'net' must be a string"))?
-                .to_owned(),
-        },
-    })
-}
-
-/// An axis is a scalar or an array of scalars.
-fn axis_f64(v: &Json, key: &str) -> Result<Vec<f64>, ProtocolError> {
-    let items: Vec<&Json> = match v {
-        Json::Arr(items) => items.iter().collect(),
-        other => vec![other],
-    };
-    items
-        .into_iter()
-        .map(|item| {
-            item.as_f64()
-                .ok_or_else(|| bad(format!("axis '{key}' must contain numbers")))
-        })
-        .collect()
-}
-
-fn axis_usize(v: &Json, key: &str) -> Result<Vec<usize>, ProtocolError> {
-    let items: Vec<&Json> = match v {
-        Json::Arr(items) => items.iter().collect(),
-        other => vec![other],
-    };
-    items
-        .into_iter()
-        .map(|item| {
-            item.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| bad(format!("axis '{key}' must contain non-negative integers")))
-        })
-        .collect()
-}
-
-fn spec_from_json(v: &Json) -> Result<SweepSpec, ProtocolError> {
-    if !matches!(v, Json::Obj(_)) {
-        return Err(bad("'spec' must be an object"));
-    }
-    let mut spec = SweepSpec::paper_point();
-    if let Some(axis) = v.get("pes") {
-        spec.pes = axis_usize(axis, "pes")?;
-    }
-    if let Some(axis) = v.get("freqs_mhz") {
-        spec.freqs_mhz = axis_f64(axis, "freqs_mhz")?;
-    }
-    if let Some(axis) = v.get("kmem_depths") {
-        spec.kmem_depths = axis_usize(axis, "kmem_depths")?;
-    }
-    if let Some(axis) = v.get("imem_kb") {
-        spec.imem_kb = axis_usize(axis, "imem_kb")?;
-    }
-    if let Some(axis) = v.get("omem_kb") {
-        spec.omem_kb = axis_usize(axis, "omem_kb")?;
-    }
-    if let Some(axis) = v.get("word_bits") {
-        spec.word_bits = axis_usize(axis, "word_bits")?
-            .into_iter()
-            .map(|b| u32::try_from(b).map_err(|_| bad("'word_bits' out of range")))
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(axis) = v.get("batches") {
-        spec.batches = axis_usize(axis, "batches")?;
-    }
-    if let Some(nets) = v.get("nets") {
-        let items: Vec<&Json> = match nets {
-            Json::Arr(items) => items.iter().collect(),
-            other => vec![other],
-        };
-        spec.nets = items
-            .into_iter()
-            .map(|n| {
-                n.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| bad("'nets' must contain strings"))
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(part) = v.get("part") {
-        if !matches!(part, Json::Obj(_)) {
-            return Err(bad("'part' must be an object"));
-        }
-        let of = get_usize(part, "of", 0)?;
-        let index = get_usize(part, "index", 0)?;
-        if of == 0 {
-            return Err(bad("'part' needs a positive 'of'"));
-        }
-        spec.part = Some(SweepPart { index, of });
-    }
-    Ok(spec)
-}
-
-fn mix_from_json(v: &Json) -> Result<WorkloadMix, ProtocolError> {
-    let mix = match v {
-        Json::Str(text) => WorkloadMix::parse(text),
-        Json::Obj(entries) => WorkloadMix::new(
-            entries
-                .iter()
-                .map(|(net, w)| {
-                    Ok(MixEntry {
-                        net: net.clone(),
-                        weight: w.as_f64().ok_or_else(|| {
-                            bad(format!("mix weight for '{net}' must be a number"))
-                        })?,
-                    })
-                })
-                .collect::<Result<Vec<_>, ProtocolError>>()?,
-        ),
-        _ => {
-            return Err(bad(
-                "'mix' must be an object of net: weight pairs or a string",
-            ))
-        }
-    };
-    mix.map_err(|e| bad(e.to_string()))
-}
-
-fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, ProtocolError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(item) => item
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| bad(format!("'{key}' must be a number"))),
-    }
-}
-
-fn budget_from_json(v: &Json) -> Result<Budget, ProtocolError> {
-    if !matches!(v, Json::Obj(_)) {
-        return Err(bad("'budget' must be an object"));
-    }
-    Ok(Budget {
-        max_system_mw: opt_f64(v, "max_system_mw")?,
-        max_gates_k: opt_f64(v, "max_gates_k")?,
-        min_fps: opt_f64(v, "min_fps")?,
-        min_sqnr_db: opt_f64(v, "min_sqnr_db")?,
-    })
-}
-
-fn metric_from_json(v: &Json) -> Result<Metric, ProtocolError> {
-    v.as_str()
-        .ok_or_else(|| bad("objective metrics must be strings"))?
-        .parse::<Metric>()
-        .map_err(ProtocolError)
-}
-
-fn objective_from_json(v: &Json) -> Result<Objective, ProtocolError> {
-    let objective = match v {
-        Json::Str(text) => return Objective::parse(text).map_err(ProtocolError),
-        Json::Arr(items) => Objective::Lexicographic(
-            items
-                .iter()
-                .map(metric_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-        Json::Obj(_) => {
-            let Some(Json::Obj(terms)) = v.get("scalarized") else {
-                return Err(bad("objective object needs a 'scalarized' object"));
-            };
-            Objective::Scalarized(
-                terms
-                    .iter()
-                    .map(|(name, w)| {
-                        Ok((
-                            name.parse::<Metric>().map_err(ProtocolError)?,
-                            w.as_f64().ok_or_else(|| {
-                                bad(format!("objective weight for '{name}' must be a number"))
-                            })?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, ProtocolError>>()?,
-            )
-        }
-        _ => return Err(bad("'objective' must be a string, array or object")),
-    };
-    objective.validate().map_err(ProtocolError)?;
-    Ok(objective)
-}
-
-fn tune_request_from_json(v: &Json) -> Result<TuneRequest, ProtocolError> {
-    let mut req = TuneRequest::default();
-    if let Some(space) = v.get("space") {
-        req.space = spec_from_json(space)?;
-    }
-    if let Some(mix) = v.get("mix") {
-        req.mix = mix_from_json(mix)?;
-    }
-    if let Some(budget) = v.get("budget") {
-        req.budget = budget_from_json(budget)?;
-    }
-    if let Some(objective) = v.get("objective") {
-        req.objective = objective_from_json(objective)?;
-    }
-    if let Some(strategy) = v.get("strategy") {
-        req.strategy = strategy
-            .as_str()
-            .ok_or_else(|| bad("'strategy' must be a string"))?
-            .parse::<StrategyKind>()
-            .map_err(ProtocolError)?;
-    }
-    req.seed = match v.get("seed") {
-        None => 0,
-        Some(s) => s
-            .as_u64()
-            .ok_or_else(|| bad("'seed' must be a non-negative integer (below 2^53)"))?,
-    };
-    Ok(req)
-}
-
-/// A budget sweep is an `{"axis": ..., "values": [...]}` object or the
-/// CLI string form (`"max-mw=300..=900:50"`). Either way the sweep is
-/// validated (non-empty, strictly increasing, legal bounds).
-fn budget_sweep_from_json(v: &Json) -> Result<BudgetSweep, ProtocolError> {
-    match v {
-        Json::Str(text) => BudgetSweep::parse(text).map_err(ProtocolError),
-        Json::Obj(_) => {
-            let axis = v
-                .get("axis")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("'sweep' needs a string 'axis'"))?
-                .parse::<BudgetAxis>()
-                .map_err(ProtocolError)?;
-            let values = v
-                .get("values")
-                .and_then(Json::as_array)
-                .ok_or_else(|| bad("'sweep' needs a 'values' array"))?
-                .iter()
-                .map(|item| {
-                    item.as_f64()
-                        .ok_or_else(|| bad("'sweep' values must be numbers"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let sweep = BudgetSweep { axis, values };
-            sweep.validate().map_err(ProtocolError)?;
-            Ok(sweep)
-        }
-        _ => Err(bad("'sweep' must be an object or a string")),
-    }
-}
-
-fn mix_result_from_json(v: &Json) -> Result<MixResult, ProtocolError> {
-    let f = |key: &str| -> Result<f64, ProtocolError> {
-        v.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(format!("tune result field '{key}' missing")))
-    };
-    Ok(MixResult {
-        fps: f("fps")?,
-        chip_mw: f("chip_mw")?,
-        dram_mw: f("dram_mw")?,
-        peak_gops: f("peak_gops")?,
-        gates_k: f("gates_k")?,
-        sram_kb: f("sram_kb")?,
-        sqnr_db: f("sqnr_db")?,
-    })
-}
-
-fn result_from_json(v: &Json) -> Result<PointResult, ProtocolError> {
-    let f = |key: &str| -> Result<f64, ProtocolError> {
-        v.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(format!("result field '{key}' missing")))
-    };
-    Ok(PointResult {
-        fps: f("fps")?,
-        achieved_gops: f("achieved_gops")?,
-        peak_gops: f("peak_gops")?,
-        chip_mw: f("chip_mw")?,
-        dram_mw: f("dram_mw")?,
-        gates_k: f("gates_k")?,
-        sram_kb: f("sram_kb")?,
-        sqnr_db: f("sqnr_db")?,
-    })
-}
-
-/// The `found`/`admitted`/`point` + mix-metric block shared by `tune`
-/// replies and `tune_frontier` step lines.
-fn tuned_from_json(v: &Json) -> Result<Option<Tuned>, ProtocolError> {
-    match v.get("found") {
-        Some(Json::Bool(true)) => {
-            let point = v
-                .get("point")
-                .ok_or_else(|| bad("tune response needs 'point' when found"))?;
-            Ok(Some(Tuned {
-                point: point_from_json(point)?,
-                result: mix_result_from_json(v)?,
-                admitted: matches!(v.get("admitted"), Some(Json::Bool(true))),
-            }))
-        }
-        Some(Json::Bool(false)) => Ok(None),
-        _ => Err(bad("tune response needs a boolean 'found'")),
-    }
-}
-
-fn outcome_from_json(v: &Json) -> Result<PointOutcome, ProtocolError> {
-    match v.get("status").and_then(Json::as_str) {
-        Some("ok") => Ok(PointOutcome::Feasible(result_from_json(v)?)),
-        Some("infeasible") => Ok(PointOutcome::Infeasible(
-            v.get("reason")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified")
-                .to_owned(),
-        )),
-        _ => Err(bad("missing or unknown 'status'")),
-    }
-}
-
-impl Request {
-    /// Parses one request line.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError`] on unparseable JSON, a missing/unknown
-    /// `"type"`, or mistyped fields.
-    pub fn decode(line: &str) -> Result<Request, ProtocolError> {
-        let v = Json::parse(line).map_err(|e| bad(e.to_string()))?;
-        Request::decode_value(&v)
+        o.close();
+        out
     }
 
-    /// Parses one request line together with its optional propagated
-    /// `"trace"` context. [`Request::decode`] ignores the field (so
-    /// legacy call sites are unchanged); the daemon's session loop uses
-    /// this entry point to tag every span of the request.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Request::decode`] rejects, plus a malformed
-    /// `"trace"` object (missing/zero `id`, mistyped fields).
-    pub fn decode_with_trace(line: &str) -> Result<(Request, Option<TraceContext>), ProtocolError> {
-        let (request, meta) = Request::decode_with_meta(line)?;
-        Ok((request, meta.trace))
-    }
-
-    /// Parses one request line together with its full transport
-    /// envelope: the optional `"trace"` context *and* the optional
-    /// pipelining id `"req"`. The daemon's session loop uses this so it
-    /// can echo `"req"` on every reply line belonging to the request.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Request::decode`] rejects, plus a malformed
-    /// `"trace"` object or a non-integer `"req"`.
-    pub fn decode_with_meta(line: &str) -> Result<(Request, RequestMeta), ProtocolError> {
-        let v = Json::parse(line).map_err(|e| bad(e.to_string()))?;
-        let trace = match v.get("trace") {
-            None => None,
-            Some(t @ Json::Obj(_)) => {
-                let id = t
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("'trace' needs an integer 'id'"))?;
-                if id == 0 {
-                    return Err(bad("'trace' id must be non-zero"));
-                }
-                Some(TraceContext {
-                    id,
-                    parent: get_usize(t, "parent", 0)? as u64,
-                })
-            }
-            Some(_) => return Err(bad("'trace' must be an object")),
-        };
-        let req_id = match v.get("req") {
-            None => None,
-            Some(r) => Some(
-                r.as_u64()
-                    .ok_or_else(|| bad("'req' must be a non-negative integer"))?,
-            ),
-        };
-        Ok((Request::decode_value(&v)?, RequestMeta { trace, req_id }))
-    }
-
-    fn decode_value(v: &Json) -> Result<Request, ProtocolError> {
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("request needs a string 'type'"))?;
-        match kind {
-            "eval" => {
-                let point = v.get("point").unwrap_or(&Json::Obj(vec![])).clone();
-                Ok(Request::Eval(point_from_json(&point)?))
-            }
-            "eval_batch" => {
-                let points = v
-                    .get("points")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("eval_batch request needs a 'points' array"))?
-                    .iter()
-                    .map(point_from_json)
-                    .collect::<Result<_, _>>()?;
-                Ok(Request::EvalBatch(points))
-            }
-            "sweep" => {
-                let spec = v
-                    .get("spec")
-                    .ok_or_else(|| bad("sweep request needs a 'spec' object"))?;
-                Ok(Request::Sweep(spec_from_json(spec)?))
-            }
-            "tune" => Ok(Request::Tune(Box::new(tune_request_from_json(v)?))),
-            "tune_frontier" => {
-                let base = tune_request_from_json(v)?;
-                let sweep = v
-                    .get("sweep")
-                    .ok_or_else(|| bad("tune_frontier request needs a 'sweep'"))?;
-                let sweep = budget_sweep_from_json(sweep)?;
-                Ok(Request::TuneFrontier(Box::new(FrontierTuneRequest {
-                    base,
-                    sweep,
-                })))
-            }
-            "frontier" => {
-                let dims = get_usize(v, "dims", 3)?;
-                if !(dims == 2 || dims == 3) {
-                    return Err(bad("'dims' must be 2 or 3"));
-                }
-                let sqnr = match v.get("axes").map(|a| a.as_str()) {
-                    None => false,
-                    Some(Some("gates")) => false,
-                    Some(Some("sqnr")) => true,
-                    _ => return Err(bad("'axes' must be \"gates\" or \"sqnr\"")),
-                };
-                if sqnr && dims != 3 {
-                    return Err(bad("the sqnr frontier is 3-dimensional; use dims 3"));
-                }
-                let stream = match v.get("stream") {
-                    None => false,
-                    Some(Json::Bool(b)) => *b,
-                    _ => return Err(bad("'stream' must be a boolean")),
-                };
-                Ok(Request::Frontier {
-                    dims: dims as u8,
-                    sqnr,
-                    stream,
-                })
-            }
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "metrics_history" => Ok(Request::MetricsHistory),
-            "watch" => Ok(Request::Watch {
-                samples: get_usize(v, "samples", 0)? as u64,
-            }),
-            "trace_query" => {
-                let id = v
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("trace_query needs an integer 'id'"))?;
-                Ok(Request::TraceQuery { id })
-            }
-            "dump" => Ok(Request::Dump),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(bad(format!("unknown request type '{other}'"))),
-        }
-    }
-}
-
-impl Response {
     /// Parses one response line.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError`] on unparseable JSON or a malformed reply.
+    /// [`ProtocolError`] on unparseable JSON or a malformed reply
+    /// (missing or mistyped fields).
     pub fn decode(line: &str) -> Result<Response, ProtocolError> {
         Ok(Response::decode_with_req(line)?.0)
     }
@@ -1859,336 +1242,23 @@ impl Response {
     /// Everything [`Response::decode`] rejects, plus a non-integer
     /// `"req"`.
     pub fn decode_with_req(line: &str) -> Result<(Response, Option<u64>), ProtocolError> {
-        let v = Json::parse(line).map_err(|e| bad(e.to_string()))?;
-        let req_id = match v.get("req") {
-            None => None,
-            Some(r) => Some(
-                r.as_u64()
-                    .ok_or_else(|| bad("'req' must be a non-negative integer"))?,
-            ),
-        };
-        Ok((Response::decode_value(v)?, req_id))
-    }
-
-    fn decode_value(v: Json) -> Result<Response, ProtocolError> {
-        let ok = match v.get("ok") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err(bad("response needs a boolean 'ok'")),
-        };
-        if !ok {
-            let message = v
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified")
-                .to_owned();
+        let v = parse(line)?;
+        let req_id = RequestMeta::take_fields(&v)?.req_id;
+        let reply = if required::<Plain, bool>(&v, "ok")? {
+            Response::take_tagged(&v)?
+        } else {
+            let message: String =
+                optional::<Plain, _>(&v, "error")?.unwrap_or_else(|| "unspecified".into());
             if message == "busy" {
-                return Ok(Response::Busy {
-                    active: get_usize(&v, "active", 0)?,
-                    capacity: get_usize(&v, "capacity", 0)?,
-                });
-            }
-            return Ok(Response::Error { message });
-        }
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("response needs a string 'type'"))?;
-        match kind {
-            "eval" => {
-                let point = v
-                    .get("point")
-                    .ok_or_else(|| bad("eval response needs 'point'"))?;
-                Ok(Response::Eval {
-                    point: point_from_json(point)?,
-                    outcome: outcome_from_json(&v)?,
-                })
-            }
-            "eval_batch" => {
-                let outcomes = v
-                    .get("outcomes")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("eval_batch response needs 'outcomes'"))?
-                    .iter()
-                    .map(outcome_from_json)
-                    .collect::<Result<_, _>>()?;
-                Ok(Response::EvalBatch {
-                    outcomes,
-                    cache_hits: get_usize(&v, "cache_hits", 0)? as u64,
-                    cache_misses: get_usize(&v, "cache_misses", 0)? as u64,
-                })
-            }
-            "sweep" => {
-                let indices = |key: &'static str| -> Result<Vec<usize>, ProtocolError> {
-                    v.get(key)
-                        .and_then(Json::as_array)
-                        .ok_or_else(|| bad(format!("sweep response needs '{key}'")))?
-                        .iter()
-                        .map(|i| {
-                            i.as_u64()
-                                .map(|n| n as usize)
-                                .ok_or_else(|| bad(format!("'{key}' must hold indices")))
-                        })
-                        .collect()
-                };
-                let candidates = match v.get("candidates") {
-                    None => Vec::new(),
-                    Some(arr) => arr
-                        .as_array()
-                        .ok_or_else(|| bad("'candidates' must be an array"))?
-                        .iter()
-                        .map(|c| {
-                            let i = c
-                                .get("i")
-                                .and_then(Json::as_u64)
-                                .ok_or_else(|| bad("candidate needs an integer 'i'"))?;
-                            Ok((
-                                i as usize,
-                                Objectives {
-                                    fps: get_f64(c, "fps", 0.0)?,
-                                    system_mw: get_f64(c, "system_mw", 0.0)?,
-                                    gates_k: get_f64(c, "gates_k", 0.0)?,
-                                    sqnr_db: get_f64(c, "sqnr_db", 0.0)?,
-                                },
-                            ))
-                        })
-                        .collect::<Result<_, ProtocolError>>()?,
-                };
-                Ok(Response::Sweep(SweepSummary {
-                    points: get_usize(&v, "points", 0)?,
-                    feasible: get_usize(&v, "feasible", 0)?,
-                    cache_hits: get_usize(&v, "cache_hits", 0)? as u64,
-                    cache_misses: get_usize(&v, "cache_misses", 0)? as u64,
-                    wall_ms: get_f64(&v, "wall_ms", 0.0)?,
-                    frontier_3d: indices("frontier_3d")?,
-                    frontier_sqnr: indices("frontier_sqnr")?,
-                    candidates,
-                    degraded: matches!(v.get("degraded"), Some(Json::Bool(true))),
-                }))
-            }
-            "tune" => Ok(Response::Tune(TuneSummary {
-                best: tuned_from_json(&v)?,
-                evaluations: get_usize(&v, "evaluations", 0)? as u64,
-                cache_hits: get_usize(&v, "cache_hits", 0)? as u64,
-                cache_misses: get_usize(&v, "cache_misses", 0)? as u64,
-                rounds: get_usize(&v, "rounds", 0)?,
-                exhaustive_points: get_usize(&v, "exhaustive_points", 0)?,
-                degraded: matches!(v.get("degraded"), Some(Json::Bool(true))),
-            })),
-            "tune_frontier" => {
-                if matches!(v.get("done"), Some(Json::Bool(true))) {
-                    let frontier = v
-                        .get("frontier")
-                        .and_then(Json::as_array)
-                        .ok_or_else(|| bad("tune_frontier done line needs 'frontier'"))?
-                        .iter()
-                        .map(|i| {
-                            i.as_u64()
-                                .map(|n| n as usize)
-                                .ok_or_else(|| bad("'frontier' must hold step indices"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    return Ok(Response::TuneFrontierDone(FrontierDoneSummary {
-                        steps: get_usize(&v, "steps", 0)?,
-                        frontier,
-                        evaluations: get_usize(&v, "evaluations", 0)? as u64,
-                        standalone_evaluations: get_usize(&v, "standalone_evaluations", 0)? as u64,
-                        cache_hits: get_usize(&v, "cache_hits", 0)? as u64,
-                        cache_misses: get_usize(&v, "cache_misses", 0)? as u64,
-                        exhaustive_points: get_usize(&v, "exhaustive_points", 0)?,
-                    }));
+                Response::Busy {
+                    active: optional::<Plain, _>(&v, "active")?.unwrap_or_default(),
+                    capacity: optional::<Plain, _>(&v, "capacity")?.unwrap_or_default(),
                 }
-                Ok(Response::TuneFrontierStep(FrontierStepSummary {
-                    step: get_usize(&v, "step", 0)?,
-                    steps: get_usize(&v, "steps", 0)?,
-                    result: FrontierStep {
-                        // Required, not defaulted: a NaN budget would
-                        // poison every PartialEq on the step downstream.
-                        budget_value: v.get("budget_value").and_then(Json::as_f64).ok_or_else(
-                            || bad("tune_frontier step line needs a numeric 'budget_value'"),
-                        )?,
-                        best: tuned_from_json(&v)?,
-                        evaluations: get_usize(&v, "evaluations", 0)? as u64,
-                        fresh_evaluations: get_usize(&v, "fresh_evaluations", 0)? as u64,
-                        cache_hits: get_usize(&v, "cache_hits", 0)? as u64,
-                        cache_misses: get_usize(&v, "cache_misses", 0)? as u64,
-                        rounds: get_usize(&v, "rounds", 0)?,
-                    },
-                }))
+            } else {
+                Response::Error { message }
             }
-            "frontier" => {
-                if matches!(v.get("done"), Some(Json::Bool(true))) {
-                    return Ok(Response::FrontierStreamDone {
-                        dims: get_usize(&v, "dims", 3)? as u8,
-                        entries: get_usize(&v, "entries", 0)?,
-                        degraded: matches!(v.get("degraded"), Some(Json::Bool(true))),
-                    });
-                }
-                if matches!(v.get("stream"), Some(Json::Bool(true))) {
-                    let point = v
-                        .get("point")
-                        .ok_or_else(|| bad("frontier stream entry needs 'point'"))?;
-                    return Ok(Response::FrontierStreamEntry {
-                        entry: FrontierEntry {
-                            point: point_from_json(point)?,
-                            result: result_from_json(&v)?,
-                        },
-                    });
-                }
-                let dims = get_usize(&v, "dims", 3)? as u8;
-                let entries = v
-                    .get("entries")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("frontier response needs 'entries'"))?
-                    .iter()
-                    .map(|e| {
-                        let point = e
-                            .get("point")
-                            .ok_or_else(|| bad("frontier entry needs 'point'"))?;
-                        Ok(FrontierEntry {
-                            point: point_from_json(point)?,
-                            result: result_from_json(e)?,
-                        })
-                    })
-                    .collect::<Result<_, ProtocolError>>()?;
-                Ok(Response::Frontier {
-                    dims,
-                    entries,
-                    degraded: matches!(v.get("degraded"), Some(Json::Bool(true))),
-                })
-            }
-            "stats" => Ok(Response::Stats(ServerStats {
-                cached_points: get_usize(&v, "cached_points", 0)?,
-                hits: get_usize(&v, "hits", 0)? as u64,
-                misses: get_usize(&v, "misses", 0)? as u64,
-                hit_rate: get_f64(&v, "hit_rate", 0.0)?,
-                requests: get_usize(&v, "requests", 0)? as u64,
-                active_jobs: get_usize(&v, "active_jobs", 0)?,
-                queue_capacity: get_usize(&v, "queue_capacity", 0)?,
-                open_connections: get_usize(&v, "open_connections", 0)?,
-                max_connections: get_usize(&v, "max_connections", 0)?,
-                threads: get_usize(&v, "threads", 0)?,
-                loaded_from_disk: get_usize(&v, "loaded_from_disk", 0)?,
-                persistent: matches!(v.get("persistent"), Some(Json::Bool(true))),
-                uptime_s: get_f64(&v, "uptime_s", 0.0)?,
-                inflight_requests: get_usize(&v, "inflight_requests", 0)?,
-                queue_depth: get_usize(&v, "queue_depth", 0)?,
-                slos: get_usize(&v, "slos", 0)?,
-                slo_breach_ticks: get_usize(&v, "slo_breach_ticks", 0)? as u64,
-                shards: match v.get("shards") {
-                    None => Vec::new(),
-                    Some(arr) => arr
-                        .as_array()
-                        .ok_or_else(|| bad("'shards' must be an array"))?
-                        .iter()
-                        .map(|s| {
-                            Ok(ShardStat {
-                                addr: s
-                                    .get("addr")
-                                    .and_then(Json::as_str)
-                                    .ok_or_else(|| bad("shard stat needs a string 'addr'"))?
-                                    .to_owned(),
-                                requests: get_usize(s, "requests", 0)? as u64,
-                                errors: get_usize(s, "errors", 0)? as u64,
-                                degraded: matches!(s.get("degraded"), Some(Json::Bool(true))),
-                            })
-                        })
-                        .collect::<Result<_, ProtocolError>>()?,
-                },
-            })),
-            "metrics" => {
-                let entries = v
-                    .get("metrics")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("metrics response needs 'metrics'"))?
-                    .iter()
-                    .map(metric_entry_from_json)
-                    .collect::<Result<_, ProtocolError>>()?;
-                Ok(Response::Metrics {
-                    snapshot: Snapshot {
-                        entries,
-                        uptime_s: get_f64(&v, "uptime_s", 0.0)?,
-                    },
-                })
-            }
-            "metrics_history" => {
-                let windows = v
-                    .get("windows")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("metrics_history response needs 'windows'"))?
-                    .iter()
-                    .map(|w| {
-                        Ok(HistoryWindow {
-                            window_s: get_f64(w, "window_s", 0.0)?,
-                            duration_s: get_f64(w, "duration_s", 0.0)?,
-                            samples: get_usize(w, "samples", 0)?,
-                            req_per_sec: get_f64(w, "req_per_sec", 0.0)?,
-                            points_per_sec: get_f64(w, "points_per_sec", 0.0)?,
-                            types: type_windows_from_json(w)?,
-                        })
-                    })
-                    .collect::<Result<_, ProtocolError>>()?;
-                Ok(Response::MetricsHistory(Box::new(MetricsHistory {
-                    interval_s: get_f64(&v, "interval_s", 0.0)?,
-                    samples: get_usize(&v, "samples", 0)? as u64,
-                    capacity: get_usize(&v, "capacity", 0)?,
-                    windows,
-                })))
-            }
-            "watch" => {
-                if matches!(v.get("done"), Some(Json::Bool(true))) {
-                    return Ok(Response::WatchDone {
-                        samples: get_usize(&v, "samples", 0)? as u64,
-                    });
-                }
-                Ok(Response::WatchSample(Box::new(WatchSample {
-                    seq: v
-                        .get("seq")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("watch sample line needs an integer 'seq'"))?,
-                    interval_s: get_f64(&v, "interval_s", 0.0)?,
-                    window_s: get_f64(&v, "window_s", 0.0)?,
-                    req_per_sec: get_f64(&v, "req_per_sec", 0.0)?,
-                    points_per_sec: get_f64(&v, "points_per_sec", 0.0)?,
-                    inflight: get_usize(&v, "inflight", 0)? as u64,
-                    active_jobs: get_usize(&v, "active_jobs", 0)? as u64,
-                    queue_depth: get_usize(&v, "queue_depth", 0)? as u64,
-                    cache_hit_rate: get_f64(&v, "cache_hit_rate", 0.0)?,
-                    requests_total: get_usize(&v, "requests_total", 0)? as u64,
-                    queue_wait_p99_us: get_f64(&v, "queue_wait_p99_us", 0.0)?,
-                    execute_p99_us: get_f64(&v, "execute_p99_us", 0.0)?,
-                    types: type_windows_from_json(&v)?,
-                })))
-            }
-            "trace" => {
-                let id = v
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("trace response needs an integer 'id'"))?;
-                let spans = v
-                    .get("spans")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("trace response needs 'spans'"))?
-                    .iter()
-                    .map(|s| span_from_json(id, s))
-                    .collect::<Result<_, ProtocolError>>()?;
-                Ok(Response::Trace {
-                    id,
-                    dropped: get_usize(&v, "dropped", 0)? as u64,
-                    spans,
-                })
-            }
-            "dump" => Ok(Response::Dump {
-                path: v
-                    .get("path")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("dump response needs a string 'path'"))?
-                    .to_owned(),
-                spans: get_usize(&v, "spans", 0)?,
-                dropped: get_usize(&v, "dropped", 0)? as u64,
-            }),
-            "shutdown" => Ok(Response::Shutdown),
-            other => Err(bad(format!("unknown response type '{other}'"))),
-        }
+        };
+        Ok((reply, req_id))
     }
 }
 
@@ -2654,7 +1724,7 @@ mod tests {
 
     #[test]
     fn tune_requests_round_trip() {
-        let requests = vec![
+        let requests = [
             Request::Tune(Box::default()),
             Request::Tune(Box::new(TuneRequest {
                 mix: WorkloadMix::parse("alexnet:0.7,vgg16:0.3").unwrap(),
@@ -2759,7 +1829,7 @@ mod tests {
     #[test]
     fn tune_frontier_requests_round_trip() {
         use chain_nn_tuner::{BudgetAxis, BudgetSweep, FrontierTuneRequest};
-        let requests = vec![
+        let requests = [
             Request::TuneFrontier(Box::default()),
             Request::TuneFrontier(Box::new(FrontierTuneRequest {
                 base: TuneRequest {
@@ -2955,6 +2025,28 @@ mod tests {
             r#"{"type":"eval","point":{"pes":-5}}"#,
         ] {
             assert!(Request::decode(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn malformed_responses_are_rejected() {
+        // Every leaf converts through one checked conversion: a present
+        // but mistyped field is an error, never a silent default.
+        for bad in [
+            // No truncation of `dims` through a narrowing cast.
+            r#"{"ok":true,"type":"frontier","dims":259,"entries":[]}"#,
+            // Wire integers are exact non-negative integers.
+            r#"{"ok":true,"type":"metrics","metrics":[{"name":"x","kind":"histogram","count":1.5,"sum":-3}]}"#,
+            r#"{"ok":true,"type":"stats","hits":18446744073709551616}"#,
+            // Flags are booleans, not truthy values.
+            r#"{"ok":true,"type":"frontier","dims":3,"entries":[],"degraded":"yes"}"#,
+            r#"{"ok":true,"type":"stats","persistent":1}"#,
+            r#"{"ok":true,"type":"tune","found":true,"admitted":"no"}"#,
+            r#"{"ok":"yes","type":"stats"}"#,
+            r#"{"ok":true,"type":"warp"}"#,
+            r#"{"ok":true,"type":"eval","point":{},"status":"maybe"}"#,
+        ] {
+            assert!(Response::decode(bad).is_err(), "{bad:?} should fail");
         }
     }
 

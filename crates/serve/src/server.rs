@@ -29,13 +29,13 @@ use chain_nn_obs::trace::{self as obs_trace, TraceContext};
 use chain_nn_obs::{Counter, Gauge, Histogram, Registry};
 use chain_nn_tuner::{evaluator, frontier, tune, MixEvaluator, TuneError};
 
-use crate::json::Json;
 use crate::protocol::{
     FrontierDoneSummary, FrontierEntry, FrontierStepSummary, HistoryTypeWindow, HistoryWindow,
     MetricsHistory, Request, Response, ServerStats, SweepSummary, TuneSummary, WatchSample,
 };
 use crate::scheduler::{AdmissionSlot, ClaimPolicy, Scheduler, SubmitError, TraceRef, BATCH_SIZE};
 use crate::slo::{SloSpec, SloTracker};
+use crate::wire::{wire_struct, Wire};
 
 /// How the daemon is set up. `Default` binds an ephemeral loopback
 /// port, one worker per host core, no persistence.
@@ -1506,47 +1506,51 @@ fn register_flight_recorder(path: PathBuf, shared: &Arc<Shared>) {
 /// One span of the flight file. Unlike a `trace` reply (scoped to one
 /// trace id), the flight dump spans every recent trace, so the trace id
 /// is spelled out per span.
-fn flight_span_json(s: &chain_nn_obs::trace::SpanRecord) -> Json {
-    let mut json = crate::protocol::span_to_json(s);
-    if let Json::Obj(fields) = &mut json {
-        fields.insert(0, ("trace".into(), Json::Num(s.trace_id as f64)));
-    }
-    json
+struct FlightSpan {
+    trace: u64,
+    span: chain_nn_obs::trace::SpanRecord,
 }
 
-/// Writes the flight file: `{"dropped":N,"spans":[...],"metrics":[...]}`
-/// — the span ring's recent contents (oldest first) plus a current
-/// metrics snapshot, so a postmortem sees both what the daemon was
-/// doing and what its counters said. Returns the span count written.
+wire_struct! { FlightSpan as _s { "trace": trace, ..span } }
+
+/// The flight file: the span ring's recent contents (oldest first)
+/// plus a current metrics snapshot, so a postmortem sees both what the
+/// daemon was doing and what its counters said.
+struct FlightFile {
+    dropped: u64,
+    spans: Vec<FlightSpan>,
+    metrics: Vec<chain_nn_obs::MetricEntry>,
+}
+
+wire_struct! { FlightFile as _f { "dropped": dropped, "spans": spans, "metrics": metrics } }
+
+/// Writes the flight file (one JSON line, see [`FlightFile`]). Returns
+/// the span count written.
 fn write_flight_file(path: &Path, shared: &Arc<Shared>) -> std::io::Result<usize> {
-    let spans = obs_trace::spans();
-    let mut records = spans.snapshot();
+    let ring = obs_trace::spans();
+    let mut records = ring.snapshot();
     records.sort_by_key(|s| (s.start_us, s.span_id));
+    let count = records.len();
     let snapshot = shared
         .registry
         .snapshot()
         .merge(chain_nn_obs::global().snapshot());
-    let json = Json::Obj(vec![
-        ("dropped".into(), Json::Num(spans.dropped() as f64)),
-        (
-            "spans".into(),
-            Json::Arr(records.iter().map(flight_span_json).collect()),
-        ),
-        (
-            "metrics".into(),
-            Json::Arr(
-                snapshot
-                    .entries
-                    .iter()
-                    .map(crate::protocol::metric_entry_to_json)
-                    .collect(),
-            ),
-        ),
-    ]);
-    let mut file = File::create(path)?;
-    file.write_all(json.to_string().as_bytes())?;
-    file.write_all(b"\n")?;
-    Ok(records.len())
+    let flight = FlightFile {
+        dropped: ring.dropped(),
+        spans: records
+            .into_iter()
+            .map(|span| FlightSpan {
+                trace: span.trace_id,
+                span,
+            })
+            .collect(),
+        metrics: snapshot.entries,
+    };
+    let mut line = String::new();
+    flight.put(&mut line);
+    line.push('\n');
+    File::create(path)?.write_all(line.as_bytes())?;
+    Ok(count)
 }
 
 /// The daemon-side tuner evaluator: each round becomes one scheduler

@@ -224,6 +224,12 @@ fn session_is_robust_and_consistent_with_the_library() {
         .request_raw(r#"{"type":"warp_drive"}"#)
         .expect("round trip");
     assert!(reply.contains("\"ok\":false"), "{reply}");
+    // Nesting deep enough to overflow a recursive parser's stack is
+    // refused by the parser's depth bound, not fatal to the daemon.
+    let reply = client
+        .request_raw(&"[".repeat(100_000))
+        .expect("round trip");
+    assert!(reply.contains("\"ok\":false"), "{reply}");
 
     // Then a real eval on the same connection.
     let paper = chain_nn_repro::dse::DesignPoint::paper_alexnet();
