@@ -563,9 +563,13 @@ mod tests {
     fn integers_print_as_the_f64_they_travel_as() {
         assert_eq!(encoded(&576usize), "576");
         assert_eq!(encoded(&(1u64 << 53)), "9007199254740992");
-        // Above 2^53 the number rounds exactly as `as f64` does.
-        let big = (1u64 << 53) + 1;
-        assert_eq!(encoded(&big), format!("{}", big as f64));
+        // Every magnitude, at and around each power of two: the same
+        // text as the `f64` form, which rounds above 2^53.
+        for shift in 0..64 {
+            for n in [(1u64 << shift) - 1, 1 << shift, (1 << shift) + 1] {
+                assert_eq!(encoded(&n), format!("{}", n as f64), "{n}");
+            }
+        }
         assert_eq!(encoded(&u64::MAX), format!("{}", u64::MAX as f64));
     }
 
