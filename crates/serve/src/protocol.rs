@@ -773,8 +773,8 @@ wire_struct! { RequestMeta as _m { "trace": trace omit, "req": req_id omit } }
 struct SqnrAxes;
 
 impl Codec<bool> for SqnrAxes {
-    fn put(_: &bool, out: &mut String) {
-        out.push_str("\"sqnr\"");
+    fn put(sqnr: &bool, out: &mut String) {
+        out.push_str(if *sqnr { "\"sqnr\"" } else { "\"gates\"" });
     }
 
     fn take(v: &Json, _: &str) -> Result<bool, ProtocolError> {

@@ -22,7 +22,7 @@ fn below(rng: &mut TestRng, n: usize) -> usize {
 }
 
 fn pick_byte(rng: &mut TestRng) -> u8 {
-    if rng.next_u64() % 2 == 0 {
+    if rng.next_u64().is_multiple_of(2) {
         JSONISH[below(rng, JSONISH.len())]
     } else {
         rng.next_u64() as u8
@@ -41,12 +41,12 @@ fn mutate(rng: &mut TestRng, mut bytes: Vec<u8>) -> Vec<u8> {
             3 => bytes.truncate(at),
             4 => {
                 // Extra nesting, shallow or far past the parser's bound.
-                let depth = if rng.next_u64() % 4 == 0 {
+                let depth = if rng.next_u64().is_multiple_of(4) {
                     10_000
                 } else {
                     1 + below(rng, 80)
                 };
-                let open = if rng.next_u64() % 2 == 0 {
+                let open = if rng.next_u64().is_multiple_of(2) {
                     "["
                 } else {
                     "{\"a\":"
@@ -77,7 +77,7 @@ fn decoders_never_panic_on_mutated_or_random_lines() {
     let mut rng = TestRng::deterministic("protocol_fuzz");
     let mut rejected = 0;
     for case in 0..CASES {
-        let bytes = if case % 8 == 0 {
+        let bytes = if case.is_multiple_of(8) {
             (0..below(&mut rng, 96))
                 .map(|_| pick_byte(&mut rng))
                 .collect()
