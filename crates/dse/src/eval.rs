@@ -118,6 +118,11 @@ pub fn evaluate(point: &DesignPoint) -> Result<PointOutcome, DseError> {
             point.word_bits
         )));
     }
+    if point.batch == 0 {
+        return Err(DseError::Spec(
+            "batch 0 holds no images (expected >= 1)".into(),
+        ));
+    }
     let cfg = ChainConfig::builder()
         .num_pes(point.pes)
         .freq_mhz(point.freq_mhz)
@@ -145,7 +150,7 @@ pub fn evaluate(point: &DesignPoint) -> Result<PointOutcome, DseError> {
     // process per pair, however many grid points share it.
     let sqnr_db = crate::accuracy::sqnr_for(&point.net, point.word_bits)?;
 
-    Ok(PointOutcome::Feasible(PointResult {
+    let result = PointResult {
         fps: perf.fps,
         achieved_gops: perf.gops,
         peak_gops: cfg.peak_gops(),
@@ -154,7 +159,26 @@ pub fn evaluate(point: &DesignPoint) -> Result<PointOutcome, DseError> {
         gates_k: area.total_gates() / 1e3,
         sram_kb: area.onchip_memory_bytes(mem.imem_bytes, mem.omem_bytes) as f64 / 1024.0,
         sqnr_db,
-    }))
+    };
+    // A clock past the models' range overflows them: no such result is
+    // served, since the wire has no form for a non-finite number.
+    for (field, value) in [
+        ("fps", result.fps),
+        ("achieved_gops", result.achieved_gops),
+        ("peak_gops", result.peak_gops),
+        ("chip_mw", result.chip_mw),
+        ("dram_mw", result.dram_mw),
+        ("gates_k", result.gates_k),
+        ("sram_kb", result.sram_kb),
+        ("sqnr_db", result.sqnr_db),
+    ] {
+        if !value.is_finite() {
+            return Err(DseError::Spec(format!(
+                "'{field}' is {value} at this point (outside the models' range)"
+            )));
+        }
+    }
+    Ok(PointOutcome::Feasible(result))
 }
 
 #[cfg(test)]
@@ -199,6 +223,25 @@ mod tests {
             ..DesignPoint::paper_alexnet()
         };
         assert!(evaluate(&point).is_err());
+    }
+
+    #[test]
+    fn empty_batches_and_overflowing_results_are_spec_errors() {
+        let empty = DesignPoint {
+            batch: 0,
+            ..DesignPoint::paper_alexnet()
+        };
+        assert!(matches!(evaluate(&empty), Err(DseError::Spec(m)) if m.contains("batch")));
+        // 1e300 MHz overflows the achieved throughput to infinity.
+        let overclocked = DesignPoint {
+            freq_mhz: 1e300,
+            ..DesignPoint::paper_alexnet()
+        };
+        assert!(
+            matches!(evaluate(&overclocked), Err(DseError::Spec(m)) if m.contains("achieved_gops")),
+            "{:?}",
+            evaluate(&overclocked)
+        );
     }
 
     #[test]

@@ -331,6 +331,11 @@ impl SweepSpec {
                 return Err(DseError::Spec(format!("frequency {f} MHz is not positive")));
             }
         }
+        if self.batches.contains(&0) {
+            return Err(DseError::Spec(
+                "batch 0 holds no images (expected >= 1)".into(),
+            ));
+        }
         for name in &self.nets {
             if crate::network_by_name(name).is_none() {
                 return Err(DseError::Spec(format!("unknown network '{name}'")));
@@ -538,5 +543,8 @@ mod tests {
         let mut spec = SweepSpec::paper_point();
         spec.batches.clear();
         assert!(matches!(spec.validate(), Err(DseError::Spec(m)) if m.contains("batches")));
+        let mut spec = SweepSpec::paper_point();
+        spec.batches = vec![0, 4];
+        assert!(matches!(spec.validate(), Err(DseError::Spec(m)) if m.contains("batch 0")));
     }
 }

@@ -69,6 +69,9 @@ pub struct Client {
     /// The next pipelining id. Starts at 1 so 0 never appears on the
     /// wire (and a daemon that echoes nothing stays distinguishable).
     next_req: u64,
+    /// The last reply line read, kept so its capacity is reused: replies
+    /// decode from it in place.
+    line: String,
 }
 
 impl Client {
@@ -87,6 +90,7 @@ impl Client {
             writer: BufWriter::new(stream),
             trace: None,
             next_req: 1,
+            line: String::new(),
         })
     }
 
@@ -146,8 +150,8 @@ impl Client {
     /// Blocks for the next reply line belonging to request `id`.
     fn recv_matching(&mut self, id: u64) -> Result<Response, ClientError> {
         loop {
-            let line = self.recv_raw_line()?;
-            let (response, req) = Response::decode_with_req(line.trim())?;
+            self.read_line()?;
+            let (response, req) = Response::decode_with_req(self.line.trim())?;
             match req {
                 Some(other) if other != id => continue,
                 _ => return Ok(response),
@@ -163,14 +167,20 @@ impl Client {
     ///
     /// Transport failures, including EOF before a line arrived.
     pub fn recv_raw_line(&mut self) -> Result<String, ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        self.read_line()?;
+        Ok(self.line.trim_end().to_owned())
+    }
+
+    /// Reads the next reply line into the reused line buffer.
+    fn read_line(&mut self) -> Result<(), ClientError> {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "daemon closed the connection before replying",
             )));
         }
-        Ok(line.trim_end().to_owned())
+        Ok(())
     }
 
     /// Sends a raw request line (already-encoded JSON) and returns the

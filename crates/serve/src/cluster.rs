@@ -446,14 +446,8 @@ fn serve_session(stream: TcpStream, shared: &Arc<Shared>) {
         match (&mut reader).take(MAX_REQUEST_BYTES).read_line(&mut line) {
             Ok(0) | Err(_) => return,
             Ok(_) if line.len() as u64 >= MAX_REQUEST_BYTES && !line.ends_with('\n') => {
-                let mut refusal = Response::Error {
-                    message: format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                }
-                .encode();
-                refusal.push('\n');
-                let _ = writer
-                    .write_all(refusal.as_bytes())
-                    .and_then(|()| writer.flush());
+                let refusal = format!("request exceeds {MAX_REQUEST_BYTES} bytes");
+                let _ = LineSink::new(&mut writer).send(&Response::error(refusal));
                 return;
             }
             Ok(_) => {}
@@ -466,9 +460,7 @@ fn serve_session(stream: TcpStream, shared: &Arc<Shared>) {
         let (request, meta) = match Request::decode_with_meta(trimmed) {
             Ok(pair) => pair,
             Err(e) => {
-                let reply = Response::Error {
-                    message: e.to_string(),
-                };
+                let reply = Response::error(e);
                 if LineSink::new(&mut writer).send(&reply).is_err() {
                     return;
                 }
@@ -514,9 +506,9 @@ fn handle_request(
                     break;
                 }
             }
-            sink.send(&reply.unwrap_or_else(|| Response::Error {
-                message: "no shard could evaluate the point".to_owned(),
-            }))
+            sink.send(
+                &reply.unwrap_or_else(|| Response::error("no shard could evaluate the point")),
+            )
         }
         Request::EvalBatch(points) => {
             let reply = match scatter_gather(conns, &points) {
@@ -543,9 +535,7 @@ fn handle_request(
                 tune(&request, &mut evaluator)
             };
             let reply = match result {
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
+                Err(e) => Response::error(e),
                 Ok(report) => Response::Tune(TuneSummary {
                     best: report.best,
                     evaluations: report.evaluations,
@@ -595,9 +585,7 @@ fn handle_request(
                     std::io::ErrorKind::BrokenPipe,
                     "client closed the stream",
                 )),
-                Err(e) => sink.send(&Response::Error {
-                    message: e.to_string(),
-                }),
+                Err(e) => sink.send(&Response::error(e)),
             }
         }
         Request::Frontier { dims, sqnr, stream } => {
@@ -635,9 +623,9 @@ fn handle_request(
         Request::MetricsHistory
         | Request::Watch { .. }
         | Request::TraceQuery { .. }
-        | Request::Dump => sink.send(&Response::Error {
-            message: "not supported by the cluster coordinator; ask a shard directly".to_owned(),
-        }),
+        | Request::Dump => sink.send(&Response::error(
+            "not supported by the cluster coordinator; ask a shard directly",
+        )),
     }
 }
 
@@ -647,15 +635,12 @@ fn handle_request(
 /// a single daemon's — see [`pareto::merge_candidates`]).
 fn merged_sweep(conns: &mut [ShardConn<'_>], spec: &SweepSpec) -> Response {
     if spec.part.is_some() {
-        return Response::Error {
-            message: "the coordinator assigns sweep partitions itself; send an unpartitioned spec"
-                .to_owned(),
-        };
+        return Response::error(
+            "the coordinator assigns sweep partitions itself; send an unpartitioned spec",
+        );
     }
     if let Err(e) = spec.validate() {
-        return Response::Error {
-            message: e.to_string(),
-        };
+        return Response::error(e);
     }
     let shards = conns.len();
     let start = Instant::now();
@@ -699,9 +684,9 @@ fn merged_sweep(conns: &mut [ShardConn<'_>], spec: &SweepSpec) -> Response {
     if answered == 0 {
         // Nothing merged: a spec the shards reject is an error reply
         // (every shard said the same thing); an unreachable fleet too.
-        return Response::Error {
-            message: shard_error.unwrap_or_else(|| "no shard answered the sweep".to_owned()),
-        };
+        return Response::error(
+            shard_error.unwrap_or_else(|| "no shard answered the sweep".to_owned()),
+        );
     }
     summary.degraded |= answered < conns.len();
     summary.frontier_3d = pareto::merge_frontier_3d(&parts);

@@ -1,5 +1,5 @@
-//! Minimal JSON tree parser, plus the string escaper the protocol's
-//! writer uses.
+//! The protocol's JSON lexer, the tree parser built on it, and the
+//! string escaper the protocol's writer uses.
 //!
 //! The workspace carries no serde, so this module implements just
 //! enough JSON for the serve protocol: the full value grammar and
@@ -7,14 +7,21 @@
 //! trailing commas, no NaN/Infinity — by design, since none of those
 //! survive a round trip through other tooling. Arrays and objects may
 //! nest at most [`MAX_DEPTH`] deep, so a hostile line cannot exhaust
-//! the parsing thread's stack. Encoding never builds a tree: the
-//! protocol's field tables write straight into the line buffer.
+//! the parsing thread's stack.
+//!
+//! The protocol decodes lines with the pull lexer (`Reader`) alone:
+//! it reads each value in place, once, straight into the typed field it
+//! belongs to, with no tree in between. [`Json`] is the same lexer
+//! building a tree, for tools that inspect JSON files (Chrome traces,
+//! flight dumps). Encoding never builds a tree either: the protocol's
+//! field tables write straight into the line buffer.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// Deepest array/object nesting the lexer accepts. The deepest
 /// protocol shape (a `metrics_history` reply) nests 5 levels; the bound
-/// keeps the recursive parser's stack use small and fixed.
+/// keeps the recursive readers' stack use small and fixed.
 pub const MAX_DEPTH: usize = 64;
 
 /// One JSON value.
@@ -59,17 +66,9 @@ impl Json {
     ///
     /// Returns a [`JsonError`] locating the first offending byte.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            text,
-            at: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes().len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        let mut r = Reader::new(text);
+        let value = r.tree()?;
+        r.end()?;
         Ok(value)
     }
 
@@ -90,22 +89,13 @@ impl Json {
         }
     }
 
-    /// The numeric payload, when this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The numeric payload as an exact non-negative integer (rejects
     /// fractions, negatives and anything above 2^53).
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if n < 0.0 || n.fract() != 0.0 || n > 9_007_199_254_740_992.0 {
-            return None;
+        match self {
+            Json::Num(n) => exact_u64(*n),
+            _ => None,
         }
-        Some(n as u64)
     }
 
     /// The element list, when this is an array.
@@ -115,6 +105,15 @@ impl Json {
             _ => None,
         }
     }
+}
+
+/// `n` as an exact non-negative integer: no fraction, no sign, at most
+/// 2^53 (above it, distinct integers share one `f64`).
+pub(crate) fn exact_u64(n: f64) -> Option<u64> {
+    if n < 0.0 || n.fract() != 0.0 || n > 9_007_199_254_740_992.0 {
+        return None;
+    }
+    Some(n as u64)
 }
 
 /// Writes `s` JSON-escaped, with surrounding quotes.
@@ -140,16 +139,42 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
+/// A place in a [`Reader`]'s text to come back to: offset, depth, and
+/// whether it is just inside a container.
+pub(crate) type Mark = (usize, usize, bool);
+
+/// A pull lexer over one JSON text. Callers walk the document in order
+/// — open a container, take its keys or items, read scalars in place —
+/// and [`Reader::skip`] passes over (while still validating) any value
+/// they do not want. Keys and strings borrow from the text unless they
+/// hold escapes.
+#[derive(Default)]
+pub(crate) struct Reader<'a> {
     text: &'a str,
     at: usize,
     /// Arrays/objects currently open around `at`.
     depth: usize,
+    /// Just inside a `{` or `[`: no key or item read yet.
+    fresh: bool,
 }
 
-impl<'a> Parser<'a> {
-    fn bytes(&self) -> &'a [u8] {
-        self.text.as_bytes()
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            ..Reader::default()
+        }
+    }
+
+    /// Where the reader stands.
+    pub(crate) fn mark(&self) -> Mark {
+        (self.at, self.depth, self.fresh)
+    }
+
+    /// Returns to `mark`.
+    pub(crate) fn reset(&mut self, mark: Mark) {
+        (self.at, self.depth, self.fresh) = mark;
     }
 
     fn err(&self, message: &str) -> JsonError {
@@ -159,240 +184,225 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes().get(self.at).copied()
+    /// The length of the run of bytes from `at` that `keep` accepts.
+    fn run(&self, keep: impl Fn(u8) -> bool) -> usize {
+        let rest = &self.text.as_bytes()[self.at..];
+        rest.iter().position(|&c| !keep(c)).unwrap_or(rest.len())
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.at += 1;
-        }
+    /// The first byte of the next value (whitespace skipped), which
+    /// tells its kind: `{`, `[`, `"`, `t`/`f`, `n`, or a number's.
+    #[inline]
+    pub(crate) fn peek(&mut self) -> Option<u8> {
+        self.at += self.run(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'));
+        self.text.as_bytes().get(self.at).copied()
     }
 
+    /// Consumes `b`, the next byte past whitespace.
+    #[inline]
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+        if self.peek() != Some(b) {
+            return Err(self.err(&format!("expected '{}'", b as char)));
         }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes()[self.at..].starts_with(lit.as_bytes()) {
-            self.at += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    /// Enters one array/object level, refusing to go past [`MAX_DEPTH`].
-    fn descend(&mut self) -> Result<(), JsonError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
-        }
-        self.depth += 1;
+        self.at += 1;
         Ok(())
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
-        self.descend()?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            self.depth -= 1;
-            return Ok(Json::Arr(items));
+    /// Consumes `lit` if the text continues with it.
+    fn literal(&mut self, lit: &str) -> bool {
+        let found = self.text[self.at..].starts_with(lit);
+        self.at += if found { lit.len() } else { 0 };
+        found
+    }
+
+    /// Checks that only whitespace is left.
+    pub(crate) fn end(&mut self) -> Result<(), JsonError> {
+        if self.peek().is_some() {
+            return Err(self.err("trailing characters after the document"));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
+        Ok(())
+    }
+
+    /// Opens the object or array (`open` is `{` or `[`) the next value
+    /// must be, refusing to nest past [`MAX_DEPTH`].
+    pub(crate) fn open(&mut self, open: u8) -> Result<(), JsonError> {
+        self.eat(open)?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        (self.depth, self.fresh) = (self.depth + 1, true);
+        Ok(())
+    }
+
+    /// Whether the open container (closed by `close`) has another
+    /// entry; consumes the separating `,` or the closing byte.
+    #[inline]
+    fn more(&mut self, close: u8) -> Result<bool, JsonError> {
+        let fresh = std::mem::replace(&mut self.fresh, false);
+        let next = self.peek();
+        if next == Some(close) {
+            (self.at, self.depth) = (self.at + 1, self.depth - 1);
+            Ok(false)
+        } else if fresh || next == Some(b',') {
+            self.at += usize::from(!fresh);
+            Ok(true)
+        } else {
+            Err(self.err(&format!("expected ',' or '{}'", close as char)))
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        self.descend()?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            self.depth -= 1;
-            return Ok(Json::Obj(fields));
+    /// The open object's next key (its `:` consumed, the value next),
+    /// or `None` past its closing `}`.
+    #[inline]
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.more(b'}')? {
+            return Ok(None);
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
+        let key = self.string()?;
+        self.eat(b':')?;
+        Ok(Some(key))
     }
 
-    fn hex4(&mut self) -> Result<u16, JsonError> {
-        let end = self.at + 4;
-        let slice = self
-            .bytes()
-            .get(self.at..end)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let text = std::str::from_utf8(slice).map_err(|_| self.err("bad \\u escape"))?;
-        let code = u16::from_str_radix(text, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.at = end;
-        Ok(code)
+    /// Whether the open array has another item (read it next), else
+    /// consumes its closing `]`.
+    pub(crate) fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.more(b']')
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a `true`/`false` literal.
+    pub(crate) fn boolean(&mut self) -> Result<bool, JsonError> {
+        self.peek();
+        if self.literal("true") || self.literal("false") {
+            return Ok(self.text[..self.at].ends_with("true"));
+        }
+        Err(self.err("expected 'true' or 'false'"))
+    }
+
+    /// Reads a number: the run of number bytes after a `-` or a digit,
+    /// which must parse as a whole (so `1.2.3` and `1-2` are errors, not
+    /// a number and junk).
+    #[inline]
+    pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.err("expected a number"));
+        }
+        let start = self.at;
+        self.at += self.run(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'));
+        self.text[start..self.at]
+            .parse()
+            .map_err(|_| self.err("bad number"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let hex = self.text.get(self.at..self.at + 4);
+        let code = hex.and_then(|hex| u16::from_str_radix(hex, 16).ok());
+        let code = code.ok_or_else(|| self.err("bad \\u escape"))?;
+        self.at += 4;
+        Ok(u32::from(code))
+    }
+
+    /// Reads a string: borrowed from the text unless it holds escapes.
+    #[inline]
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let (text, start) = (self.text, self.at);
+        let mut out: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
+            // A run of plain bytes; `"`, `\` and controls end it, so
+            // `at` only ever stops on ASCII — a char boundary.
+            let run = self.at;
+            self.at += self.run(|c| c >= 0x20 && c != b'"' && c != b'\\');
+            let plain = &text[run..self.at];
+            match text.as_bytes().get(self.at) {
                 Some(b'"') => {
                     self.at += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        None => Cow::Borrowed(&text[start..self.at - 1]),
+                        Some(s) => Cow::Owned(s + plain),
+                    });
                 }
                 Some(b'\\') => {
                     self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => {
-                            out.push('"');
-                            self.at += 1;
-                        }
-                        Some(b'\\') => {
-                            out.push('\\');
-                            self.at += 1;
-                        }
-                        Some(b'/') => {
-                            out.push('/');
-                            self.at += 1;
-                        }
-                        Some(b'b') => {
-                            out.push('\u{0008}');
-                            self.at += 1;
-                        }
-                        Some(b'f') => {
-                            out.push('\u{000c}');
-                            self.at += 1;
-                        }
-                        Some(b'n') => {
-                            out.push('\n');
-                            self.at += 1;
-                        }
-                        Some(b'r') => {
-                            out.push('\r');
-                            self.at += 1;
-                        }
-                        Some(b't') => {
-                            out.push('\t');
-                            self.at += 1;
-                        }
-                        Some(b'u') => {
-                            self.at += 1;
-                            let hi = self.hex4()?;
-                            let code = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: a second \uXXXX must follow.
-                                if self.peek() == Some(b'\\') {
-                                    self.at += 1;
-                                    self.eat(b'u')?;
-                                    let lo = self.hex4()?;
-                                    if !(0xdc00..0xe000).contains(&lo) {
-                                        return Err(self.err("unpaired surrogate"));
-                                    }
-                                    0x10000
-                                        + ((u32::from(hi) - 0xd800) << 10)
-                                        + (u32::from(lo) - 0xdc00)
-                                } else {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                            } else if (0xdc00..0xe000).contains(&hi) {
-                                return Err(self.err("unpaired surrogate"));
-                            } else {
-                                u32::from(hi)
-                            };
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| self.err("bad code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
+                    let c = self.escape()?;
+                    let s = out.get_or_insert_with(String::new);
+                    s.push_str(plain);
+                    s.push(c);
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar; `at` only ever advances
-                    // past ASCII or whole chars, so it is a boundary.
-                    let c = self.text[self.at..].chars().next().expect("non-empty");
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.at;
-        if self.peek() == Some(b'-') {
-            self.at += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.at += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.at += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.at += 1;
+    /// The character an escape (after its `\`) stands for.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        self.at += 1;
+        Ok(match self.text.as_bytes().get(self.at - 1) {
+            Some(c @ (b'"' | b'\\' | b'/')) => char::from(*c),
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let hi = self.hex4()?;
+                let code = match hi {
+                    // Surrogate pair: a second \uXXXX must follow.
+                    0xd800..=0xdbff if self.literal("\\u") => match self.hex4()? {
+                        lo @ 0xdc00..=0xdfff => 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00),
+                        _ => return Err(self.err("unpaired surrogate")),
+                    },
+                    0xd800..=0xdfff => return Err(self.err("unpaired surrogate")),
+                    _ => hi,
+                };
+                char::from_u32(code).ok_or_else(|| self.err("bad code point"))?
             }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.at += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.at += 1;
+            _ => {
+                self.at -= 1;
+                return Err(self.err("bad escape"));
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.at += 1;
+        })
+    }
+
+    /// Reads the next value, whatever it is, as a tree.
+    pub(crate) fn tree(&mut self) -> Result<Json, JsonError> {
+        Ok(match self.peek() {
+            Some(b'{') => {
+                self.open(b'{')?;
+                let mut fields = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    fields.push((key.into_owned(), self.tree()?));
+                }
+                Json::Obj(fields)
             }
+            Some(b'[') => {
+                self.open(b'[')?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.tree()?);
+                }
+                Json::Arr(items)
+            }
+            Some(b'"') => Json::Str(self.string()?.into_owned()),
+            Some(b't' | b'f') => Json::Bool(self.boolean()?),
+            Some(b'n') if self.literal("null") => Json::Null,
+            Some(b'-' | b'0'..=b'9') => Json::Num(self.number()?),
+            Some(_) => return Err(self.err("unexpected character")),
+            None => return Err(self.err("unexpected end of input")),
+        })
+    }
+
+    /// Passes over the next value, validating it like any other, and
+    /// returns its text. Scalars are read in place; only a skipped
+    /// container is built as a tree.
+    pub(crate) fn skip(&mut self) -> Result<&'a str, JsonError> {
+        let start = self.at + self.run(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'));
+        match self.peek() {
+            Some(b'"') => drop(self.string()?),
+            Some(b'-' | b'0'..=b'9') => drop(self.number()?),
+            _ => drop(self.tree()?),
         }
-        self.text[start..self.at]
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+        Ok(&self.text[start..self.at])
     }
 }
 
@@ -477,6 +487,6 @@ mod tests {
     #[test]
     fn duplicate_keys_keep_the_last() {
         let v = Json::parse(r#"{"a": 1, "a": 2}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_f64(), Some(2.0));
+        assert_eq!(v.get("a").unwrap().as_u64(), Some(2));
     }
 }

@@ -13,7 +13,9 @@
 //!   `metrics`, `metrics_history`, `watch`, `shutdown`), shared by
 //!   daemon and client so the two cannot drift. Each wire shape is one
 //!   field table (key, field, rule); the encoder and the decoder are
-//!   both derived from it, so they cannot drift either. `tune_frontier`,
+//!   both derived from it, so they cannot drift either. The decoder
+//!   reads each line in one pass straight from its bytes, with no JSON
+//!   tree in between. `tune_frontier`,
 //!   `frontier` with `"stream":true` and `watch` are **streaming**
 //!   requests: N result lines, flushed as each is produced, then one
 //!   `done` line (`docs/PROTOCOL.md` states the framing rule).
@@ -34,8 +36,9 @@
 //!   has no async runtime, and a worker pool over blocking sockets
 //!   serves this protocol fine).
 //! * [`client`] — blocking client used by `chain-nn query` and tests.
-//! * [`json`] — the dependency-free JSON tree both sides parse with
-//!   (nesting bounded at [`json::MAX_DEPTH`]).
+//! * [`json`] — the dependency-free JSON lexer the decoder pulls from
+//!   (nesting bounded at [`json::MAX_DEPTH`]), and the [`json::Json`]
+//!   tree built on it for tools that inspect trace and flight files.
 //!
 //! # Example
 //!

@@ -9,8 +9,9 @@
 //! every field's key, Rust field and rule (required, defaulted, omitted
 //! when empty, derived); the encoder and the decoder are both generated
 //! from that table, so they cannot drift apart. The encoder writes
-//! straight into the line buffer; the decoder converts every leaf with
-//! one checked conversion, so mistyped fields are errors.
+//! straight into the line buffer; the decoder reads the line's bytes in
+//! one pass, with no JSON tree, and converts every leaf with one
+//! checked conversion, so mistyped fields are errors.
 //!
 //! Requests (`"type"` selects the operation):
 //!
@@ -89,10 +90,10 @@ use chain_nn_tuner::{
     StrategyKind, TuneRequest, Tuned,
 };
 
-use crate::json::{write_escaped, Json};
+use crate::json::{write_escaped, Reader};
 use crate::wire::{
-    bad, object_wire, optional, required, wire_enum, wire_struct, Codec, Fields, Obj, Plain,
-    Tagged, Wire,
+    bad, each_key, missing, object_wire, open, read, tag_str, tagged, wire_enum, wire_struct,
+    wire_take, Codec, Decoded, Fields, Keys, Obj, Tagged, Wire,
 };
 
 /// Malformed wire data (unparseable JSON, missing/mistyped fields).
@@ -580,15 +581,12 @@ impl<T: Wire> Codec<Vec<T>> for Axis {
         value.put(out);
     }
 
-    fn take(v: &Json, key: &str) -> Result<Vec<T>, ProtocolError> {
-        match v {
-            Json::Arr(_) => Vec::take(v, key),
-            scalar => Ok(vec![T::take(scalar, key)?]),
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Vec<T>> {
+        if r.peek() == Some(b'[') {
+            Vec::take(r, key)
+        } else {
+            Ok(vec![T::take(r, key)?])
         }
-    }
-
-    fn is_empty(_: &Vec<T>) -> bool {
-        false
     }
 }
 
@@ -606,7 +604,7 @@ wire_struct! { SweepSpec as _s {
 
 wire_struct! { SweepPart as _p { "index": index dflt, "of": of } check positive_part }
 
-fn positive_part(part: &mut SweepPart) -> Result<(), ProtocolError> {
+fn positive_part(part: &mut SweepPart) -> Decoded<()> {
     if part.of == 0 {
         return Err(bad("'part' needs a positive 'of'"));
     }
@@ -624,21 +622,21 @@ impl Wire for WorkloadMix {
         o.close();
     }
 
-    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
-        let mix = match v {
-            Json::Str(text) => WorkloadMix::parse(text),
-            Json::Obj(pairs) => WorkloadMix::new(
-                pairs
-                    .iter()
-                    .map(|(net, w)| {
-                        let weight = f64::take(w, net)?;
-                        Ok(MixEntry {
-                            net: net.clone(),
-                            weight,
-                        })
-                    })
-                    .collect::<Result<_, ProtocolError>>()?,
-            ),
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
+        let mix = match r.peek() {
+            Some(b'"') => WorkloadMix::parse(&r.string()?),
+            Some(b'{') => {
+                r.open(b'{')?;
+                let mut entries = Vec::new();
+                while let Some(net) = r.next_key()? {
+                    let weight = f64::take(r, &net)?;
+                    entries.push(MixEntry {
+                        net: net.into_owned(),
+                        weight,
+                    });
+                }
+                WorkloadMix::new(entries)
+            }
             _ => {
                 return Err(bad(format!(
                     "'{key}' must be an object of net: weight pairs or a string"
@@ -677,26 +675,31 @@ impl Wire for Objective {
         }
     }
 
-    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
         let metric = |name: &str| name.parse::<Metric>().map_err(ProtocolError);
-        let objective = match v {
-            Json::Str(text) => Objective::parse(text).map_err(ProtocolError)?,
-            Json::Arr(_) => Objective::Lexicographic(
-                Vec::<String>::take(v, key)?
+        let objective = match r.peek() {
+            Some(b'"') => Objective::parse(&r.string()?).map_err(ProtocolError)?,
+            Some(b'[') => Objective::Lexicographic(
+                Vec::<String>::take(r, key)?
                     .iter()
                     .map(|name| metric(name))
                     .collect::<Result<_, _>>()?,
             ),
-            Json::Obj(_) => {
-                let Some(Json::Obj(terms)) = v.get("scalarized") else {
-                    return Err(bad("objective object needs a 'scalarized' object"));
-                };
-                Objective::Scalarized(
-                    terms
-                        .iter()
-                        .map(|(name, w)| Ok((metric(name)?, f64::take(w, name)?)))
-                        .collect::<Result<_, ProtocolError>>()?,
-                )
+            Some(b'{') => {
+                r.open(b'{')?;
+                let mut terms = None;
+                each_key(r, |k, r| match k {
+                    "scalarized" => read(r, &mut terms, |r| {
+                        open(r, b'{', k, "an object of metric: weight pairs")?;
+                        let mut terms = Vec::new();
+                        while let Some(name) = r.next_key()? {
+                            terms.push((metric(&name)?, f64::take(r, &name)?));
+                        }
+                        Ok(terms)
+                    }),
+                    _ => Ok(false),
+                })?;
+                Objective::Scalarized(terms.unwrap_or_else(|| Err(missing("scalarized")))?)
             }
             _ => return Err(bad(format!("'{key}' must be a string, array or object"))),
         };
@@ -710,8 +713,8 @@ impl Wire for StrategyKind {
         write_escaped(out, self.name());
     }
 
-    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
-        String::take(v, key)?.parse().map_err(ProtocolError)
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
+        String::take(r, key)?.parse().map_err(ProtocolError)
     }
 }
 
@@ -737,15 +740,19 @@ impl Wire for BudgetSweep {
         o.close();
     }
 
-    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
-        let sweep = match v {
-            Json::Str(text) => BudgetSweep::parse(text).map_err(ProtocolError)?,
-            Json::Obj(_) => BudgetSweep {
-                axis: required::<Plain, String>(v, "axis")?
-                    .parse::<BudgetAxis>()
-                    .map_err(ProtocolError)?,
-                values: required::<Plain, _>(v, "values")?,
-            },
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
+        let sweep = match r.peek() {
+            Some(b'"') => BudgetSweep::parse(&r.string()?).map_err(ProtocolError)?,
+            Some(b'{') => {
+                r.open(b'{')?;
+                let outer: Keys<'_, '_> = &mut |_, _| Ok(false);
+                let (axis, values): (String, _) =
+                    wire_take!(r outer (ctor (axis, values)); "axis": axis, "values": values);
+                BudgetSweep {
+                    axis: axis.parse::<BudgetAxis>().map_err(ProtocolError)?,
+                    values,
+                }
+            }
             _ => return Err(bad(format!("'{key}' must be an object or a string"))),
         };
         sweep.validate().map_err(ProtocolError)?;
@@ -757,7 +764,7 @@ wire_struct! { FrontierTuneRequest as _r { ..base, "sweep": sweep } }
 
 wire_struct! { TraceContext as _c { "id": id, "parent": parent omit } check nonzero_trace }
 
-fn nonzero_trace(ctx: &mut TraceContext) -> Result<(), ProtocolError> {
+fn nonzero_trace(ctx: &mut TraceContext) -> Decoded<()> {
     if ctx.id == 0 {
         return Err(bad("'trace' id must be non-zero"));
     }
@@ -777,10 +784,10 @@ impl Codec<bool> for SqnrAxes {
         out.push_str(if *sqnr { "\"sqnr\"" } else { "\"gates\"" });
     }
 
-    fn take(v: &Json, _: &str) -> Result<bool, ProtocolError> {
-        match v.as_str() {
-            Some("gates") => Ok(false),
-            Some("sqnr") => Ok(true),
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<bool> {
+        match String::take(r, key).as_deref() {
+            Ok("gates") => Ok(false),
+            Ok("sqnr") => Ok(true),
             _ => Err(bad("'axes' must be \"gates\" or \"sqnr\"")),
         }
     }
@@ -790,7 +797,7 @@ impl Codec<bool> for SqnrAxes {
     }
 }
 
-fn check_frontier(request: &mut Request) -> Result<(), ProtocolError> {
+fn check_frontier(request: &mut Request) -> Decoded<()> {
     if let Request::Frontier { dims, sqnr, .. } = *request {
         if !(dims == 2 || dims == 3) {
             return Err(bad("'dims' must be 2 or 3"));
@@ -849,14 +856,17 @@ impl Fields for PointOutcome {
         }
     }
 
-    fn take_fields(v: &Json) -> Result<Self, ProtocolError> {
-        match v.get("status").and_then(Json::as_str) {
-            Some("ok") => Ok(PointOutcome::Feasible(PointResult::take_fields(v)?)),
-            Some("infeasible") => Ok(PointOutcome::Infeasible(
-                optional::<Plain, _>(v, "reason")?.unwrap_or_else(|| "unspecified".into()),
-            )),
-            _ => Err(bad("missing or unknown 'status'")),
-        }
+    fn take_fields<'a>(r: &mut Reader<'a>, outer: Keys<'_, 'a>) -> Decoded<Self> {
+        tagged(r, &["status"], outer, |tags, r, outer| {
+            match tag_str(tags[0]).as_deref() {
+                Some("ok") => PointResult::take_fields(r, outer).map(PointOutcome::Feasible),
+                Some("infeasible") => {
+                    Ok(wire_take!(r outer (ctor PointOutcome::Infeasible(reason));
+                    "reason": reason = "unspecified".into()))
+                }
+                _ => Err(bad("missing or unknown 'status'")),
+            }
+        })
     }
 }
 
@@ -884,12 +894,13 @@ impl Fields for Option<Tuned> {
         }
     }
 
-    fn take_fields(v: &Json) -> Result<Self, ProtocolError> {
-        if required::<Plain, bool>(v, "found")? {
-            Tuned::take_fields(v).map(Some)
-        } else {
-            Ok(None)
-        }
+    fn take_fields<'a>(r: &mut Reader<'a>, outer: Keys<'_, 'a>) -> Decoded<Self> {
+        tagged(r, &["found"], outer, |tags, r, outer| match tags[0] {
+            Some("true") => Tuned::take_fields(r, outer).map(Some),
+            Some("false") => each_key(r, outer).map(|()| None),
+            Some(_) => Err(bad("'found' must be a boolean")),
+            None => Err(missing("found")),
+        })
     }
 }
 
@@ -907,8 +918,8 @@ impl Fields for (usize, Objectives) {
         self.1.put_fields(o);
     }
 
-    fn take_fields(v: &Json) -> Result<Self, ProtocolError> {
-        Ok((required::<Plain, _>(v, "i")?, Objectives::take_fields(v)?))
+    fn take_fields<'a>(r: &mut Reader<'a>, outer: Keys<'_, 'a>) -> Decoded<Self> {
+        Ok(wire_take!(r outer (ctor (i, objectives)); "i": i, ..objectives))
     }
 }
 
@@ -1063,7 +1074,7 @@ wire_struct! { SpanRecord as _s {
     trace_id = 0,
 } }
 
-fn adopt_trace_id(reply: &mut Response) -> Result<(), ProtocolError> {
+fn adopt_trace_id(reply: &mut Response) -> Decoded<()> {
     if let Response::Trace { id, spans, .. } = reply {
         for span in spans {
             span.trace_id = *id;
@@ -1117,8 +1128,26 @@ wire_enum! { Response, "type", "response type" {
 
 // ------------------------------------------------------------ line codec
 
-fn parse(line: &str) -> Result<Json, ProtocolError> {
-    Json::parse(line).map_err(|e| bad(e.to_string()))
+/// Reads one line's object: `body` reads the message, and with
+/// `with_meta` the envelope's `trace` and `req` rows ride along (else
+/// they are unknown keys). A line that is not an object holds none of
+/// the keys a message needs, so it is rejected like one.
+fn read_line<'a, T>(
+    line: &'a str,
+    with_meta: bool,
+    body: impl FnOnce(&mut Reader<'a>, Keys<'_, 'a>) -> Decoded<T>,
+) -> Decoded<(T, RequestMeta)> {
+    let mut r = Reader::new(line);
+    r.open(b'{')?;
+    let (mut trace, mut req_id) = (None, None);
+    let value = body(&mut r, &mut |key, r| match key {
+        "trace" if with_meta => read(r, &mut trace, |r| TraceContext::take(r, key)),
+        "req" if with_meta => read(r, &mut req_id, |r| u64::take(r, key)),
+        _ => Ok(false),
+    })?;
+    r.end()?;
+    let (trace, req_id) = (trace.transpose()?, req_id.transpose()?);
+    Ok((value, RequestMeta { trace, req_id }))
 }
 
 impl Request {
@@ -1163,7 +1192,7 @@ impl Request {
     /// [`ProtocolError`] on unparseable JSON, a missing/unknown
     /// `"type"`, or missing/mistyped fields.
     pub fn decode(line: &str) -> Result<Request, ProtocolError> {
-        Request::take_tagged(&parse(line)?)
+        Ok(read_line(line, false, Request::take_fields)?.0)
     }
 
     /// Parses one request line together with its transport envelope:
@@ -1177,13 +1206,18 @@ impl Request {
     /// `"trace"` object (missing/zero `id`, mistyped fields) or a
     /// non-integer `"req"`.
     pub fn decode_with_meta(line: &str) -> Result<(Request, RequestMeta), ProtocolError> {
-        let v = parse(line)?;
-        let meta = RequestMeta::take_fields(&v)?;
-        Ok((Request::take_tagged(&v)?, meta))
+        read_line(line, true, Request::take_fields)
     }
 }
 
 impl Response {
+    /// An `error` reply: the request was at fault, for the given reason.
+    pub fn error(reason: impl fmt::Display) -> Response {
+        Response::Error {
+            message: reason.to_string(),
+        }
+    }
+
     /// The single-line wire form (no trailing newline).
     pub fn encode(&self) -> String {
         self.encode_with_req(None)
@@ -1242,23 +1276,26 @@ impl Response {
     /// Everything [`Response::decode`] rejects, plus a non-integer
     /// `"req"`.
     pub fn decode_with_req(line: &str) -> Result<(Response, Option<u64>), ProtocolError> {
-        let v = parse(line)?;
-        let req_id = RequestMeta::take_fields(&v)?.req_id;
-        let reply = if required::<Plain, bool>(&v, "ok")? {
-            Response::take_tagged(&v)?
-        } else {
-            let message: String =
-                optional::<Plain, _>(&v, "error")?.unwrap_or_else(|| "unspecified".into());
-            if message == "busy" {
-                Response::Busy {
-                    active: optional::<Plain, _>(&v, "active")?.unwrap_or_default(),
-                    capacity: optional::<Plain, _>(&v, "capacity")?.unwrap_or_default(),
-                }
-            } else {
-                Response::Error { message }
-            }
-        };
-        Ok((reply, req_id))
+        let (reply, meta) = read_line(line, true, |r, outer| {
+            tagged(r, &["ok"], outer, |tags, r, outer| match tags[0] {
+                Some("true") => Response::take_fields(r, outer),
+                // `busy` backpressure with its counts, or an error message.
+                Some("false") => tagged(r, &["error"], outer, |tags, r, outer| {
+                    let message = tag_str(tags[0].or(Some("\"unspecified\"")))
+                        .ok_or_else(|| bad("'error' must be a string"))?;
+                    if message != "busy" {
+                        let message = message.into_owned();
+                        return each_key(r, outer).map(|()| Response::Error { message });
+                    }
+                    let (active, capacity) = wire_take!(r outer (ctor (active, capacity));
+                        "active": active dflt, "capacity": capacity dflt);
+                    Ok(Response::Busy { active, capacity })
+                }),
+                Some(_) => Err(bad("'ok' must be a boolean")),
+                None => Err(missing("ok")),
+            })
+        })?;
+        Ok((reply, meta.req_id))
     }
 }
 

@@ -35,7 +35,7 @@ use crate::protocol::{
 };
 use crate::scheduler::{AdmissionSlot, ClaimPolicy, Scheduler, SubmitError, TraceRef, BATCH_SIZE};
 use crate::slo::{SloSpec, SloTracker};
-use crate::wire::{wire_struct, Wire};
+use crate::wire::{wire_struct, Tagged, Wire};
 
 /// How the daemon is set up. `Default` binds an ephemeral loopback
 /// port, one worker per host core, no persistence.
@@ -628,10 +628,7 @@ impl<'a> LineSink<'a> {
     /// Wraps a transport writer (a `BufWriter<TcpStream>` in the
     /// daemon; anything `Write` in tests).
     pub fn new(writer: &'a mut dyn Write) -> Self {
-        LineSink {
-            writer,
-            req_id: None,
-        }
+        LineSink::with_id(writer, None)
     }
 
     /// Wraps a transport writer and stamps every line with the
@@ -676,12 +673,7 @@ impl RequestOutcome {
 /// Answers one `busy` line on a just-accepted socket and drops it —
 /// the connection-bound refusal path.
 fn refuse_connection(stream: TcpStream, active: usize, capacity: usize) {
-    let mut wire = Response::Busy { active, capacity }.encode();
-    wire.push('\n');
-    let mut writer = BufWriter::new(stream);
-    let _ = writer
-        .write_all(wire.as_bytes())
-        .and_then(|()| writer.flush());
+    let _ = LineSink::new(&mut BufWriter::new(stream)).send(&Response::Busy { active, capacity });
 }
 
 /// One session: line in, line out, until EOF or shutdown.
@@ -700,14 +692,8 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             Ok(_) if line.len() as u64 >= MAX_REQUEST_BYTES && !line.ends_with('\n') => {
                 // Oversized request: answer once, drop the connection
                 // (the rest of the line cannot be resynchronized).
-                let refusal = Response::Error {
-                    message: format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                }
-                .encode();
-                let _ = writer
-                    .write_all(refusal.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush());
+                let refusal = format!("request exceeds {MAX_REQUEST_BYTES} bytes");
+                let _ = LineSink::new(&mut writer).send(&Response::error(refusal));
                 return;
             }
             Ok(_) => {}
@@ -780,6 +766,9 @@ fn record_span(
     registry
         .histogram_with("serve_request_ns", labels)
         .record_duration(total);
+    registry
+        .histogram_with("serve_parse_ns", labels)
+        .record_duration(span.parse);
     if span.jobs > 0 {
         // Only requests that ran scheduler jobs carry queue/execute
         // time; recording zeros for stats/metrics/frontier would
@@ -912,12 +901,7 @@ fn handle_request(
         Err(e) => {
             span.parse = parse_started.elapsed();
             span.kind = "parse_error";
-            return RequestOutcome::reply(
-                Response::Error {
-                    message: e.to_string(),
-                },
-                false,
-            );
+            return RequestOutcome::reply(Response::error(e), false);
         }
     };
     span.parse = parse_started.elapsed();
@@ -933,21 +917,7 @@ fn handle_request(
     span.trace_id = ctx.id;
     span.remote_parent = ctx.parent;
     span.root_span = obs_trace::next_span_id();
-    span.kind = match &request {
-        Request::Eval(_) => "eval",
-        Request::EvalBatch(_) => "eval_batch",
-        Request::Sweep(_) => "sweep",
-        Request::Tune(_) => "tune",
-        Request::TuneFrontier(_) => "tune_frontier",
-        Request::Frontier { .. } => "frontier",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::MetricsHistory => "metrics_history",
-        Request::Watch { .. } => "watch",
-        Request::TraceQuery { .. } => "trace_query",
-        Request::Dump => "dump",
-        Request::Shutdown => "shutdown",
-    };
+    span.kind = request.tag();
     match request {
         Request::Eval(point) => {
             // Cache-hit fast path: a memoized point is answered inline.
@@ -966,9 +936,7 @@ fn handle_request(
                 {
                     Err(e) => submit_error_response(e),
                     Ok(handle) => match handle.wait() {
-                        Err(e) => Response::Error {
-                            message: e.to_string(),
-                        },
+                        Err(e) => Response::error(e),
                         Ok(mut job) => {
                             span.absorb_job(
                                 job.queue_wait,
@@ -1003,9 +971,7 @@ fn handle_request(
                 match shared.scheduler.submit_traced(points, span.trace_ref()) {
                     Err(e) => submit_error_response(e),
                     Ok(handle) => match handle.wait() {
-                        Err(e) => Response::Error {
-                            message: e.to_string(),
-                        },
+                        Err(e) => Response::error(e),
                         Ok(job) => {
                             span.absorb_job(
                                 job.queue_wait,
@@ -1028,12 +994,7 @@ fn handle_request(
         }
         Request::Sweep(spec) => {
             if let Err(e) = spec.validate() {
-                return RequestOutcome::reply(
-                    Response::Error {
-                        message: e.to_string(),
-                    },
-                    false,
-                );
+                return RequestOutcome::reply(Response::error(e), false);
             }
             // Partitioned sweeps (`spec.part` set by a cluster
             // coordinator) walk the same full grid but keep only the
@@ -1046,9 +1007,7 @@ fn handle_request(
             let response = match shared.scheduler.submit_traced(points, span.trace_ref()) {
                 Err(e) => submit_error_response(e),
                 Ok(handle) => match handle.wait() {
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
+                    Err(e) => Response::error(e),
                     Ok(job) => {
                         span.absorb_job(
                             job.queue_wait,
@@ -1117,9 +1076,7 @@ fn handle_request(
                     let result = tune(&request, &mut evaluator);
                     evaluator.fold_into(span);
                     match result {
-                        Err(e) => Response::Error {
-                            message: e.to_string(),
-                        },
+                        Err(e) => Response::error(e),
                         Ok(report) => {
                             span.points = report.evaluations;
                             Response::Tune(TuneSummary {
@@ -1183,9 +1140,7 @@ fn handle_request(
                         // stream with one error line (the framing rule
                         // allows it in place of `done`).
                         Err(e) if !sink_dead => {
-                            let error = Response::Error {
-                                message: e.to_string(),
-                            };
+                            let error = Response::error(e);
                             let sink_dead = sink.send(&error).is_err();
                             RequestOutcome::Streamed { sink_dead }
                         }
@@ -1354,14 +1309,11 @@ fn handle_request(
         }
         Request::Dump => {
             let response = match &shared.flight_path {
-                None => Response::Error {
-                    message: "flight recorder disabled: start the daemon with --trace-log"
-                        .to_owned(),
-                },
+                None => {
+                    Response::error("flight recorder disabled: start the daemon with --trace-log")
+                }
                 Some(path) => match write_flight_file(path, shared) {
-                    Err(e) => Response::Error {
-                        message: format!("flight dump failed: {e}"),
-                    },
+                    Err(e) => Response::error(format!("flight dump failed: {e}")),
                     Ok(spans) => Response::Dump {
                         path: path.display().to_string(),
                         spans,
@@ -1457,9 +1409,7 @@ fn build_watch_sample(history: &TimeSeries, shared: &Shared) -> WatchSample {
 fn submit_error_response(e: SubmitError) -> Response {
     match e {
         SubmitError::Busy { active, capacity } => Response::Busy { active, capacity },
-        SubmitError::ShuttingDown => Response::Error {
-            message: "server is shutting down".to_owned(),
-        },
+        SubmitError::ShuttingDown => Response::error("server is shutting down"),
     }
 }
 

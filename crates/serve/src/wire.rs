@@ -19,13 +19,20 @@
 //! `via Codec` after the rule swaps the field type's own [`Wire`] form
 //! for a hand-written [`Codec`]; a trailing `check f` runs `f` on every
 //! decoded value. Encoding writes straight into the line buffer, with
-//! no intermediate tree. Decoding reads the parsed [`Json`] tree
-//! through one checked conversion per leaf type ([`Wire::take`]), so a
-//! present but mistyped field is an error, never a silent default.
+//! no intermediate tree. Decoding pulls from the line's bytes with a
+//! [`Reader`], in one pass and with no tree either: each object's keys
+//! are matched, as borrowed slices, against its rows (an inlined
+//! shape's rows and the enclosing shapes' rows share the object through
+//! [`Keys`]), and each leaf converts straight into its field with one
+//! checked conversion ([`Wire::take`]), so a present but mistyped field
+//! is an error, never a silent default. Keys may come in any order,
+//! unknown keys are skipped (still validated), and when a key repeats
+//! the last occurrence wins.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use crate::json::{write_escaped, Json};
+use crate::json::{exact_u64, write_escaped, JsonError, Reader};
 use crate::protocol::ProtocolError;
 
 /// A protocol error with the given message.
@@ -37,13 +44,74 @@ fn mistyped(key: &str, what: &str) -> ProtocolError {
     bad(format!("'{key}' must be {what}"))
 }
 
+/// The error of a required row whose key never came.
+pub(crate) fn missing(key: &str) -> ProtocolError {
+    bad(format!("missing required field '{key}'"))
+}
+
+impl From<JsonError> for ProtocolError {
+    fn from(e: JsonError) -> Self {
+        bad(e.to_string())
+    }
+}
+
+/// The rows of the shapes enclosing the one being read, offered every
+/// key that shape does not own: returns whether they took the key (and
+/// read its value).
+pub(crate) type Keys<'k, 'a> = &'k mut dyn FnMut(&str, &mut Reader<'a>) -> Decoded<bool>;
+
+/// A decoded value, or why it is not one.
+pub(crate) type Decoded<T> = Result<T, ProtocolError>;
+
+/// A row's value as read from the key's last occurrence, or why it
+/// failed to convert.
+pub(crate) type Slot<T> = Option<Decoded<T>>;
+
+/// Reads a row's value into its slot with `take`. A value that fails to
+/// convert is still skipped, and so validated; its error waits in the
+/// slot until the object is done, so a later occurrence of the key
+/// replaces it.
+pub(crate) fn read<'a, T>(
+    r: &mut Reader<'a>,
+    slot: &mut Slot<T>,
+    take: impl FnOnce(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<bool> {
+    let mark = r.mark();
+    let value = take(r);
+    if value.is_err() {
+        r.reset(mark);
+        r.skip()?;
+    }
+    *slot = Some(value);
+    Ok(true)
+}
+
+/// Reads the open object through its `}`, offering each key to `keys`
+/// and skipping the values nobody takes.
+pub(crate) fn each_key<'a>(
+    r: &mut Reader<'a>,
+    mut keys: impl FnMut(&str, &mut Reader<'a>) -> Decoded<bool>,
+) -> Decoded<()> {
+    while let Some(key) = r.next_key()? {
+        if !keys(&key, r)? {
+            r.skip()?;
+        }
+    }
+    Ok(())
+}
+
+/// Opens the object or array (`open`) that field `key` must hold.
+pub(crate) fn open(r: &mut Reader<'_>, b: u8, key: &str, what: &str) -> Decoded<()> {
+    r.open(b).map_err(|_| mistyped(key, what))
+}
+
 /// A value with one JSON form.
 pub(crate) trait Wire: Sized {
     /// Appends the JSON form to `out`.
     fn put(&self, out: &mut String);
 
-    /// Reads the value of field `key` from its parsed form.
-    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError>;
+    /// Reads field `key`'s value, the next one in `r`.
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self>;
 
     /// Whether an `omit` row leaves this value off the wire.
     fn is_empty(&self) -> bool {
@@ -68,8 +136,10 @@ macro_rules! uint_wire {
                 put_uint(*self as u64, out);
             }
 
-            fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
-                v.as_u64()
+            fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
+                r.number()
+                    .ok()
+                    .and_then(exact_u64)
                     .and_then(|n| <$t>::try_from(n).ok())
                     .ok_or_else(|| mistyped(key, concat!("a non-negative integer (", stringify!($t), ")")))
             }
@@ -94,8 +164,8 @@ impl Wire for f64 {
         }
     }
 
-    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
-        v.as_f64().ok_or_else(|| mistyped(key, "a number"))
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
+        r.number().map_err(|_| mistyped(key, "a number"))
     }
 }
 
@@ -104,11 +174,8 @@ impl Wire for bool {
         out.push_str(if *self { "true" } else { "false" });
     }
 
-    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
-        match v {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(mistyped(key, "a boolean")),
-        }
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
+        r.boolean().map_err(|_| mistyped(key, "a boolean"))
     }
 
     fn is_empty(&self) -> bool {
@@ -121,10 +188,10 @@ impl Wire for String {
         write_escaped(out, self);
     }
 
-    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| mistyped(key, "a string"))
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
+        r.string()
+            .map(Cow::into_owned)
+            .map_err(|_| mistyped(key, "a string"))
     }
 
     fn is_empty(&self) -> bool {
@@ -144,12 +211,13 @@ impl<T: Wire> Wire for Vec<T> {
         out.push(']');
     }
 
-    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
-        v.as_array()
-            .ok_or_else(|| mistyped(key, "an array"))?
-            .iter()
-            .map(|item| T::take(item, key))
-            .collect()
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
+        open(r, b'[', key, "an array")?;
+        let mut items = Vec::new();
+        while r.next_item()? {
+            items.push(T::take(r, key)?);
+        }
+        Ok(items)
     }
 
     fn is_empty(&self) -> bool {
@@ -166,8 +234,8 @@ impl<T: Wire> Wire for Option<T> {
         }
     }
 
-    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
-        T::take(v, key).map(Some)
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
+        T::take(r, key).map(Some)
     }
 
     fn is_empty(&self) -> bool {
@@ -185,14 +253,13 @@ impl Wire for Vec<(String, String)> {
         o.close();
     }
 
-    fn take(v: &Json, key: &str) -> Result<Self, ProtocolError> {
-        let Json::Obj(pairs) = v else {
-            return Err(mistyped(key, "an object"));
-        };
-        pairs
-            .iter()
-            .map(|(k, item)| Ok((k.clone(), String::take(item, key)?)))
-            .collect()
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
+        open(r, b'{', key, "an object")?;
+        let mut pairs = Vec::new();
+        while let Some(label) = r.next_key()? {
+            pairs.push((label.into_owned(), String::take(r, key)?));
+        }
+        Ok(pairs)
     }
 
     fn is_empty(&self) -> bool {
@@ -246,10 +313,12 @@ impl<'a> Obj<'a> {
 pub(crate) trait Codec<T> {
     /// Appends `value`'s form to `out`.
     fn put(value: &T, out: &mut String);
-    /// Reads field `key` from its parsed form.
-    fn take(v: &Json, key: &str) -> Result<T, ProtocolError>;
+    /// Reads field `key`'s value, the next one in `r`.
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<T>;
     /// Whether an `omit` row leaves `value` off the wire.
-    fn is_empty(value: &T) -> bool;
+    fn is_empty(_: &T) -> bool {
+        false
+    }
 }
 
 /// The field type's own [`Wire`] form: the codec of every row without
@@ -261,8 +330,8 @@ impl<T: Wire> Codec<T> for Plain {
         value.put(out);
     }
 
-    fn take(v: &Json, key: &str) -> Result<T, ProtocolError> {
-        T::take(v, key)
+    fn take(r: &mut Reader<'_>, key: &str) -> Decoded<T> {
+        T::take(r, key)
     }
 
     fn is_empty(value: &T) -> bool {
@@ -270,28 +339,14 @@ impl<T: Wire> Codec<T> for Plain {
     }
 }
 
-/// Reads optional field `key` of object `v` through codec `C`.
-pub(crate) fn optional<C: Codec<T>, T>(v: &Json, key: &str) -> Result<Option<T>, ProtocolError> {
-    v.get(key).map(|item| C::take(item, key)).transpose()
-}
-
-/// Reads required field `key` of object `v` through codec `C`.
-pub(crate) fn required<C: Codec<T>, T>(v: &Json, key: &str) -> Result<T, ProtocolError> {
-    optional::<C, T>(v, key)?.ok_or_else(|| bad(format!("missing required field '{key}'")))
-}
-
-/// Whether the line-kind flag `key` (`done`, `stream`) is set.
-pub(crate) fn flag(v: &Json, key: &str) -> bool {
-    matches!(v.get(key), Some(Json::Bool(true)))
-}
-
 /// A shape written as the fields of a JSON object: nested as an
 /// object of its own, or inlined (`..field`) into an enclosing one.
 pub(crate) trait Fields: Sized {
     /// Writes this value's fields into `o`.
     fn put_fields(&self, o: &mut Obj<'_>);
-    /// Reads this value's fields from object `v`.
-    fn take_fields(v: &Json) -> Result<Self, ProtocolError>;
+    /// Reads this value's fields from the open object `r` is in,
+    /// through its `}`, offering every key it does not own to `outer`.
+    fn take_fields<'a>(r: &mut Reader<'a>, outer: Keys<'_, 'a>) -> Decoded<Self>;
 }
 
 impl<T: Fields> Fields for Box<T> {
@@ -299,18 +354,88 @@ impl<T: Fields> Fields for Box<T> {
         T::put_fields(self, o);
     }
 
-    fn take_fields(v: &Json) -> Result<Self, ProtocolError> {
-        T::take_fields(v).map(Box::new)
+    fn take_fields<'a>(r: &mut Reader<'a>, outer: Keys<'_, 'a>) -> Decoded<Self> {
+        T::take_fields(r, outer).map(Box::new)
     }
 }
 
 /// A tagged enum: a tag row naming the variant, then the variant's own
 /// rows ([`wire_enum!`]).
-pub(crate) trait Tagged: Sized {
+pub(crate) trait Tagged {
     /// Writes the tag row, then `meta`'s rows, then the variant's rows.
     fn put_tagged(&self, o: &mut Obj<'_>, meta: impl FnOnce(&mut Obj<'_>));
-    /// Reads the variant the tag row names.
-    fn take_tagged(v: &Json) -> Result<Self, ProtocolError>;
+    /// The tag row's value: the variant's wire name.
+    fn tag(&self) -> &'static str;
+}
+
+/// The raw values of a tagged object's discriminator keys, the last
+/// occurrence of each winning, indexed like its key list ([`tagged`]).
+pub(crate) type Tags<'a> = [Option<&'a str>; 6];
+
+/// Records the raw value of `key` if it is one of the discriminator
+/// `keys`.
+fn see<'a>(r: &mut Reader<'a>, keys: &[&str], key: &str, tags: &mut Tags<'a>) -> Decoded<bool> {
+    let Some(i) = keys.iter().position(|k| *k == key) else {
+        return Ok(false);
+    };
+    tags[i] = Some(r.skip()?);
+    Ok(true)
+}
+
+/// Reads a tagged object — one whose discriminator `keys` (its tag,
+/// then any line-kind flags) select the variant that `body` reads —
+/// from the open object `r` is in.
+///
+/// The encoder writes the discriminators ahead of the rows, so the keys
+/// before the first row (past any the enclosing shapes take) decide the
+/// variant, and the object is read once. When a later discriminator
+/// changes them, or `body` fails (no tag yet, say), the object is
+/// scanned once for its discriminators and, if they differ, read once
+/// more: no line makes decoding superlinear.
+pub(crate) fn tagged<'a, T>(
+    r: &mut Reader<'a>,
+    keys: &[&str],
+    outer: Keys<'_, 'a>,
+    mut body: impl FnMut(&Tags<'a>, &mut Reader<'a>, Keys<'_, 'a>) -> Decoded<T>,
+) -> Decoded<T> {
+    let (start, mut tags, mut fixed) = (r.mark(), Tags::default(), false);
+    loop {
+        let at = r.mark();
+        match r.next_key()? {
+            Some(key) if see(r, keys, &key, &mut tags)? || outer(&key, r)? => {}
+            _ => break r.reset(at),
+        }
+    }
+    loop {
+        let mut late = tags;
+        let value = body(&tags, r, &mut |key, r| {
+            Ok(see(r, keys, key, &mut late)? || outer(key, r)?)
+        });
+        if fixed || (value.is_ok() && late == tags) {
+            return value;
+        }
+        // Scan for the discriminators alone, then read with them.
+        r.reset(start);
+        let mut seen = Tags::default();
+        each_key(r, |key, r| see(r, keys, key, &mut seen))?;
+        if value.is_err() && seen == tags {
+            return value;
+        }
+        (tags, fixed) = (seen, true);
+        r.reset(start);
+    }
+}
+
+/// A string discriminator's value.
+pub(crate) fn tag_str(raw: Option<&str>) -> Option<Cow<'_, str>> {
+    Reader::new(raw?).string().ok()
+}
+
+/// Whether line-kind flag `name` (`done`, `stream`) is `true`.
+pub(crate) fn flag(keys: &[&str], tags: &Tags<'_>, name: &str) -> bool {
+    keys.iter()
+        .position(|k| *k == name)
+        .is_some_and(|i| tags[i] == Some("true"))
 }
 
 /// Gives [`Fields`] types their nested form: a JSON object.
@@ -323,14 +448,9 @@ macro_rules! object_wire {
                 o.close();
             }
 
-            fn take(
-                v: &$crate::json::Json,
-                key: &str,
-            ) -> Result<Self, $crate::protocol::ProtocolError> {
-                if !matches!(v, $crate::json::Json::Obj(_)) {
-                    return Err($crate::wire::bad(format!("'{key}' must be an object")));
-                }
-                $crate::wire::Fields::take_fields(v)
+            fn take(r: &mut $crate::json::Reader<'_>, key: &str) -> $crate::wire::Decoded<Self> {
+                $crate::wire::open(r, b'{', key, "an object")?;
+                $crate::wire::Fields::take_fields(r, &mut |_, _| Ok(false))
             }
         }
     )+};
@@ -379,55 +499,71 @@ macro_rules! wire_put {
     };
 }
 
-/// Decode half of a row list: one `let` per field, then the value —
-/// `(struct Ty)` builds `Ty { fields }`, `(ctor ...)` evaluates the
-/// given constructor.
+/// Decode half of a row list, reading the open object `$r` is in with
+/// `$outer` as the enclosing rows: one slot per keyed row, filled by
+/// one pass over the keys (the inlined shape's pass when there is a
+/// `..field` row), then each field from its slot in row order, then
+/// the value — `(struct Ty)` builds `Ty { fields }`, `(ctor ...)`
+/// evaluates the given constructor.
 macro_rules! wire_take {
-    ($v:ident [$($lets:tt)*] [$($ids:ident)*] (struct $ty:ident);) => {{
-        $($lets)*
+    ($r:ident $outer:ident $mode:tt; $($rows:tt)*) => {
+        $crate::wire::wire_take!(@ $r $outer [] [] [] [] [] $mode; $($rows)*)
+    };
+    (@ $r:ident $outer:ident [$($pre:tt)*] [$($arms:tt)*] [$($fin:tt)*] [$($ids:ident)*]
+        [$($inl:ident)?] $mode:tt;) => {{
+        $($pre)*
+        $crate::wire::wire_take!(@pass $r [$($inl)?]
+            |key, $r| Ok(match key { $($arms)* _ => $outer(key, $r)? }));
+        $($fin)*
+        $crate::wire::wire_take!(@ctor [$($ids)*] $mode)
+    }};
+    (@pass $r:ident [] $($keys:tt)*) => {
+        $crate::wire::each_key($r, $($keys)*)?
+    };
+    (@pass $r:ident [$inl:ident] $($keys:tt)*) => {
+        let $inl = $crate::wire::Fields::take_fields($r, &mut $($keys)*)?;
+    };
+    (@ctor [$($ids:ident)*] (struct $ty:ident)) => {
         $ty { $($ids),* }
-    }};
-    ($v:ident [$($lets:tt)*] [$($ids:ident)*] (ctor $($ctor:tt)*);) => {{
-        $($lets)*
+    };
+    (@ctor [$($ids:ident)*] (ctor $($ctor:tt)*)) => {
         $($ctor)*
-    }};
-    ($v:ident [$($lets:tt)*] [$($ids:ident)*] $mode:tt; .. $f:ident $(, $($rest:tt)*)?) => {
-        $crate::wire::wire_take!($v
-            [$($lets)* let $f = $crate::wire::Fields::take_fields($v)?;]
-            [$($ids)* $f] $mode; $($($rest)*)?)
     };
-    ($v:ident [$($lets:tt)*] [$($ids:ident)*] $mode:tt; $key:literal => $e:expr $(, $($rest:tt)*)?) => {
-        $crate::wire::wire_take!($v [$($lets)*] [$($ids)*] $mode; $($($rest)*)?)
+    (@ $r:ident $outer:ident $pre:tt $arms:tt $fin:tt [$($ids:ident)*] [] $mode:tt;
+        .. $f:ident $(, $($rest:tt)*)?) => {
+        $crate::wire::wire_take!(@ $r $outer $pre $arms $fin [$($ids)* $f] [$f] $mode; $($($rest)*)?)
     };
-    ($v:ident [$($lets:tt)*] [$($ids:ident)*] $mode:tt;
+    (@ $r:ident $outer:ident $pre:tt $arms:tt $fin:tt $ids:tt $inl:tt $mode:tt;
+        $key:literal => $e:expr $(, $($rest:tt)*)?) => {
+        $crate::wire::wire_take!(@ $r $outer $pre $arms $fin $ids $inl $mode; $($($rest)*)?)
+    };
+    (@ $r:ident $outer:ident $pre:tt $arms:tt $fin:tt $ids:tt $inl:tt $mode:tt;
         $key:literal : $f:ident $(via $c:ty)? = $d:expr $(, $($rest:tt)*)?) => {
-        $crate::wire::wire_take!($v
-            [$($lets)* let $f = $crate::wire::optional::<$crate::wire::wire_codec!($($c)?), _>($v, $key)?
-                .unwrap_or_else(|| $d);]
-            [$($ids)* $f] $mode; $($($rest)*)?)
+        $crate::wire::wire_take!(@row $r $outer $pre $arms $fin $ids $inl $mode;
+            $key $f ($($c)?) (Ok($d)); $($($rest)*)?)
     };
-    ($v:ident [$($lets:tt)*] [$($ids:ident)*] $mode:tt;
-        $key:literal : $f:ident dflt $(via $c:ty)? $(, $($rest:tt)*)?) => {
-        $crate::wire::wire_take!($v
-            [$($lets)* let $f = $crate::wire::optional::<$crate::wire::wire_codec!($($c)?), _>($v, $key)?
-                .unwrap_or_default();]
-            [$($ids)* $f] $mode; $($($rest)*)?)
-    };
-    ($v:ident [$($lets:tt)*] [$($ids:ident)*] $mode:tt;
-        $key:literal : $f:ident omit $(via $c:ty)? $(, $($rest:tt)*)?) => {
-        $crate::wire::wire_take!($v
-            [$($lets)* let $f = $crate::wire::optional::<$crate::wire::wire_codec!($($c)?), _>($v, $key)?
-                .unwrap_or_default();]
-            [$($ids)* $f] $mode; $($($rest)*)?)
-    };
-    ($v:ident [$($lets:tt)*] [$($ids:ident)*] $mode:tt;
+    (@ $r:ident $outer:ident $pre:tt $arms:tt $fin:tt $ids:tt $inl:tt $mode:tt;
         $key:literal : $f:ident $(via $c:ty)? $(, $($rest:tt)*)?) => {
-        $crate::wire::wire_take!($v
-            [$($lets)* let $f = $crate::wire::required::<$crate::wire::wire_codec!($($c)?), _>($v, $key)?;]
-            [$($ids)* $f] $mode; $($($rest)*)?)
+        $crate::wire::wire_take!(@row $r $outer $pre $arms $fin $ids $inl $mode;
+            $key $f ($($c)?) (Err($crate::wire::missing($key))); $($($rest)*)?)
     };
-    ($v:ident [$($lets:tt)*] [$($ids:ident)*] $mode:tt; $f:ident = $d:expr $(, $($rest:tt)*)?) => {
-        $crate::wire::wire_take!($v [$($lets)* let $f = $d;] [$($ids)* $f] $mode; $($($rest)*)?)
+    (@ $r:ident $outer:ident $pre:tt $arms:tt $fin:tt $ids:tt $inl:tt $mode:tt;
+        $key:literal : $f:ident $(dflt)? $(omit)? $(via $c:ty)? $(, $($rest:tt)*)?) => {
+        $crate::wire::wire_take!(@row $r $outer $pre $arms $fin $ids $inl $mode;
+            $key $f ($($c)?) (Ok(Default::default())); $($($rest)*)?)
+    };
+    (@row $r:ident $outer:ident [$($pre:tt)*] [$($arms:tt)*] [$($fin:tt)*] [$($ids:ident)*] $inl:tt
+        $mode:tt; $key:literal $f:ident ($($c:ty)?) ($absent:expr); $($rest:tt)*) => {
+        $crate::wire::wire_take!(@ $r $outer [$($pre)* let mut $f = None;]
+            [$($arms)* $key => $crate::wire::read($r, &mut $f, |$r| {
+                <$crate::wire::wire_codec!($($c)?) as $crate::wire::Codec<_>>::take($r, $key)
+            })?,]
+            [$($fin)* let $f = $f.unwrap_or_else(|| $absent)?;] [$($ids)* $f] $inl $mode; $($rest)*)
+    };
+    (@ $r:ident $outer:ident $pre:tt $arms:tt [$($fin:tt)*] [$($ids:ident)*] $inl:tt $mode:tt;
+        $f:ident = $d:expr $(, $($rest:tt)*)?) => {
+        $crate::wire::wire_take!(@ $r $outer $pre $arms [$($fin)* let $f = $d;] [$($ids)* $f] $inl
+            $mode; $($($rest)*)?)
     };
 }
 
@@ -442,10 +578,9 @@ macro_rules! wire_struct {
                 $crate::wire::wire_put!(o ($this .) $($rows)*);
             }
 
-            fn take_fields(
-                v: &$crate::json::Json,
-            ) -> Result<Self, $crate::protocol::ProtocolError> {
-                let value = $crate::wire::wire_take!(v [] [] (struct $ty); $($rows)*);
+            fn take_fields<'a>(r: &mut $crate::json::Reader<'a>, outer: $crate::wire::Keys<'_, 'a>)
+                -> $crate::wire::Decoded<Self> {
+                let value = $crate::wire::wire_take!(r outer (struct $ty); $($rows)*);
                 $(let mut value = value; $check(&mut value)?;)?
                 Ok(value)
             }
@@ -458,7 +593,8 @@ macro_rules! wire_struct {
 /// its binding pattern, tag value, optional line-kind flag (`if
 /// "done"`: chosen when that key is `true`; list flagged variants
 /// before their unflagged sibling), rows and optional `check`.
-/// Implements [`Tagged`] and [`Fields`]; `what` names the tag in
+/// Implements [`Tagged`] and [`Fields`], decoding through [`tagged`]
+/// with the tag and flags as discriminators; `what` names the tag in
 /// errors.
 macro_rules! wire_enum {
     ($ty:ident, $tag:literal, $what:literal {
@@ -466,11 +602,8 @@ macro_rules! wire_enum {
             $(check $check:path)?),* $(,)?
     }) => {
         impl $crate::wire::Tagged for $ty {
-            fn put_tagged(
-                &self,
-                o: &mut $crate::wire::Obj<'_>,
-                meta: impl FnOnce(&mut $crate::wire::Obj<'_>),
-            ) {
+            fn put_tagged(&self, o: &mut $crate::wire::Obj<'_>,
+                meta: impl FnOnce(&mut $crate::wire::Obj<'_>)) {
                 match self {
                     $($ty::$var { $($bind)* } => {
                         o.key($tag).push_str(concat!("\"", $name, "\""));
@@ -482,21 +615,11 @@ macro_rules! wire_enum {
                 }
             }
 
-            fn take_tagged(
-                v: &$crate::json::Json,
-            ) -> Result<Self, $crate::protocol::ProtocolError> {
-                let kind = v
-                    .get($tag)
-                    .and_then($crate::json::Json::as_str)
-                    .ok_or_else(|| $crate::wire::bad(concat!("needs a string '", $tag, "'")))?;
-                match kind {
-                    $($name $(if $crate::wire::flag(v, $flag))? => {
-                        let value = $crate::wire::wire_take!(v [] []
-                            (ctor $ty::$var { $($bind)* }); $($rows)*);
-                        $(let mut value = value; $check(&mut value)?;)?
-                        Ok(value)
-                    })*
-                    other => Err($crate::wire::bad(format!(concat!("unknown ", $what, " '{}'"), other))),
+            fn tag(&self) -> &'static str {
+                match self {
+                    $($ty::$var { .. } => $name,)*
+                    #[allow(unreachable_patterns)]
+                    _ => "",
                 }
             }
         }
@@ -506,10 +629,22 @@ macro_rules! wire_enum {
                 $crate::wire::Tagged::put_tagged(self, o, |_| {});
             }
 
-            fn take_fields(
-                v: &$crate::json::Json,
-            ) -> Result<Self, $crate::protocol::ProtocolError> {
-                $crate::wire::Tagged::take_tagged(v)
+            fn take_fields<'a>(r: &mut $crate::json::Reader<'a>, outer: $crate::wire::Keys<'_, 'a>)
+                -> $crate::wire::Decoded<Self> {
+                const KEYS: &[&str] = &[$tag, $($($flag,)?)*];
+                $crate::wire::tagged(r, KEYS, outer, |tags, r, outer| {
+                    let kind = $crate::wire::tag_str(tags[0])
+                        .ok_or_else(|| $crate::wire::bad(concat!("needs a string '", $tag, "'")))?;
+                    match &*kind {
+                        $($name $(if $crate::wire::flag(KEYS, tags, $flag))? => {
+                            let value = $crate::wire::wire_take!(r outer
+                                (ctor $ty::$var { $($bind)* }); $($rows)*);
+                            $(let mut value = value; $check(&mut value)?;)?
+                            Ok(value)
+                        })*
+                        other => Err($crate::wire::bad(format!(concat!("unknown ", $what, " '{}'"), other))),
+                    }
+                })
             }
         }
     };
@@ -527,12 +662,17 @@ mod tests {
         out
     }
 
+    /// Reads `text` as the value of field `key`.
+    fn taken<T: Wire>(text: &str, key: &str) -> Result<T, ProtocolError> {
+        T::take(&mut Reader::new(text), key)
+    }
+
     #[test]
     fn escapes_round_trip() {
         let original = "a\"b\\c\nd\te\u{0001}f/🦀".to_owned();
         let line = encoded(&original);
         assert_eq!(line, r#""a\"b\\c\nd\te\u0001f/🦀""#);
-        let back = String::take(&Json::parse(&line).unwrap(), "s").unwrap();
+        let back: String = taken(&line, "s").unwrap();
         assert_eq!(back, original);
     }
 
@@ -548,7 +688,7 @@ mod tests {
             123.456_789_012_345_67,
         ] {
             let line = encoded(&x);
-            let back = f64::take(&Json::parse(&line).unwrap(), "x").unwrap();
+            let back: f64 = taken(&line, "x").unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} re-parsed as {back}");
         }
         // Non-finite floats have no JSON form: they write null, which
@@ -556,7 +696,7 @@ mod tests {
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(encoded(&x), "null");
         }
-        assert!(f64::take(&Json::Null, "x").is_err());
+        assert!(taken::<f64>("null", "x").is_err());
     }
 
     #[test]
@@ -575,15 +715,19 @@ mod tests {
 
     #[test]
     fn leaf_conversions_are_checked() {
-        let parse = |s: &str| Json::parse(s).unwrap();
-        assert_eq!(u8::take(&parse("255"), "n"), Ok(255));
+        assert_eq!(taken::<u8>("255", "n"), Ok(255));
         for bad in ["256", "-1", "1.5", "1e300", "\"7\"", "true"] {
-            assert!(u8::take(&parse(bad), "n").is_err(), "{bad}");
+            assert!(taken::<u8>(bad, "n").is_err(), "{bad}");
         }
-        assert!(u32::take(&parse("4294967296"), "n").is_err());
-        assert!(bool::take(&parse("1"), "b").is_err());
-        assert!(String::take(&parse("1"), "s").is_err());
-        assert!(Vec::<u64>::take(&parse("1"), "v").is_err());
-        assert!(Vec::<u64>::take(&parse("[1,\"x\"]"), "v").is_err());
+        assert!(taken::<u32>("4294967296", "n").is_err());
+        assert!(taken::<bool>("1", "b").is_err());
+        assert!(taken::<String>("1", "s").is_err());
+        assert!(taken::<Vec<u64>>("1", "v").is_err());
+        assert!(taken::<Vec<u64>>("[1,\"x\"]", "v").is_err());
+        // The error names the field and what it must be.
+        assert_eq!(
+            taken::<bool>("1", "flag"),
+            Err(bad("'flag' must be a boolean"))
+        );
     }
 }

@@ -97,6 +97,13 @@ fn metrics_reconcile_with_the_clients_own_request_tally() {
         .histogram("serve_request_ns", &[("type", "sweep")])
         .expect("sweep latency histogram");
     assert_eq!(sweep_latency.count, 2);
+    // Every request's decode time is its own histogram, per type.
+    for (kind, count) in [("eval", EVALS), ("sweep", 2)] {
+        let parse = snapshot
+            .histogram("serve_parse_ns", &[("type", kind)])
+            .expect("parse histogram");
+        assert_eq!(parse.count, count, "{kind}");
+    }
     // Scheduler-side reconciliation: every *scheduled* point was
     // counted — the first (cold) eval plus two sweeps of the same
     // 6-point grid. The four warm repeat evals were answered inline

@@ -256,6 +256,30 @@ fn session_is_robust_and_consistent_with_the_library() {
         other => panic!("expected eval, got {other:?}"),
     }
 
+    // Points the models cannot serve — an empty batch, a clock that
+    // overflows them to infinity — are error replies that decode, not
+    // feasible results the wire cannot carry; the session still
+    // evaluates afterwards.
+    for bad in [
+        chain_nn_repro::dse::DesignPoint {
+            batch: 0,
+            ..paper.clone()
+        },
+        chain_nn_repro::dse::DesignPoint {
+            freq_mhz: 1e300,
+            ..paper.clone()
+        },
+    ] {
+        match client.eval(bad).expect("round trip decodes") {
+            Response::Error { message } => assert!(message.contains("invalid"), "{message}"),
+            other => panic!("expected error, got {other:?}"),
+        }
+        match client.eval(paper.clone()).expect("eval") {
+            Response::Eval { outcome, .. } => assert!(outcome.result().is_some()),
+            other => panic!("expected eval, got {other:?}"),
+        }
+    }
+
     // A spec-level invalid sweep is an error response, not a dead daemon.
     let mut bad = lenet_grid(vec![25]);
     bad.nets = vec!["squeezenet".into()];
