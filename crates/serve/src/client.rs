@@ -150,8 +150,7 @@ impl Client {
     /// Blocks for the next reply line belonging to request `id`.
     fn recv_matching(&mut self, id: u64) -> Result<Response, ClientError> {
         loop {
-            self.read_line()?;
-            let (response, req) = Response::decode_with_req(self.line.trim())?;
+            let (response, req) = Response::decode_with_req(self.read_line()?.trim())?;
             match req {
                 Some(other) if other != id => continue,
                 _ => return Ok(response),
@@ -167,12 +166,11 @@ impl Client {
     ///
     /// Transport failures, including EOF before a line arrived.
     pub fn recv_raw_line(&mut self) -> Result<String, ClientError> {
-        self.read_line()?;
-        Ok(self.line.trim_end().to_owned())
+        Ok(self.read_line()?.trim_end().to_owned())
     }
 
     /// Reads the next reply line into the reused line buffer.
-    fn read_line(&mut self) -> Result<(), ClientError> {
+    fn read_line(&mut self) -> Result<&str, ClientError> {
         self.line.clear();
         if self.reader.read_line(&mut self.line)? == 0 {
             return Err(ClientError::Io(std::io::Error::new(
@@ -180,7 +178,7 @@ impl Client {
                 "daemon closed the connection before replying",
             )));
         }
-        Ok(())
+        Ok(&self.line)
     }
 
     /// Sends a raw request line (already-encoded JSON) and returns the

@@ -110,10 +110,7 @@ impl Json {
 /// `n` as an exact non-negative integer: no fraction, no sign, at most
 /// 2^53 (above it, distinct integers share one `f64`).
 pub(crate) fn exact_u64(n: f64) -> Option<u64> {
-    if n < 0.0 || n.fract() != 0.0 || n > 9_007_199_254_740_992.0 {
-        return None;
-    }
-    Some(n as u64)
+    (n >= 0.0 && n.fract() == 0.0 && n <= 9_007_199_254_740_992.0).then_some(n as u64)
 }
 
 /// Writes `s` JSON-escaped, with surrounding quotes.
@@ -235,9 +232,10 @@ impl<'a> Reader<'a> {
     }
 
     /// Whether the open container (closed by `close`) has another
-    /// entry; consumes the separating `,` or the closing byte.
+    /// entry (an array item is read next); consumes the separating `,`
+    /// or the closing byte.
     #[inline]
-    fn more(&mut self, close: u8) -> Result<bool, JsonError> {
+    pub(crate) fn more(&mut self, close: u8) -> Result<bool, JsonError> {
         let fresh = std::mem::replace(&mut self.fresh, false);
         let next = self.peek();
         if next == Some(close) {
@@ -263,21 +261,6 @@ impl<'a> Reader<'a> {
         Ok(Some(key))
     }
 
-    /// Whether the open array has another item (read it next), else
-    /// consumes its closing `]`.
-    pub(crate) fn next_item(&mut self) -> Result<bool, JsonError> {
-        self.more(b']')
-    }
-
-    /// Reads a `true`/`false` literal.
-    pub(crate) fn boolean(&mut self) -> Result<bool, JsonError> {
-        self.peek();
-        if self.literal("true") || self.literal("false") {
-            return Ok(self.text[..self.at].ends_with("true"));
-        }
-        Err(self.err("expected 'true' or 'false'"))
-    }
-
     /// Reads a number: the run of number bytes after a `-` or a digit,
     /// which must parse as a whole (so `1.2.3` and `1-2` are errors, not
     /// a number and junk).
@@ -294,9 +277,8 @@ impl<'a> Reader<'a> {
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        let hex = self.text.get(self.at..self.at + 4);
-        let code = hex.and_then(|hex| u16::from_str_radix(hex, 16).ok());
-        let code = code.ok_or_else(|| self.err("bad \\u escape"))?;
+        let hex = self.text.get(self.at..self.at + 4).unwrap_or("?");
+        let code = u16::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.at += 4;
         Ok(u32::from(code))
     }
@@ -378,13 +360,14 @@ impl<'a> Reader<'a> {
             Some(b'[') => {
                 self.open(b'[')?;
                 let mut items = Vec::new();
-                while self.next_item()? {
+                while self.more(b']')? {
                     items.push(self.tree()?);
                 }
                 Json::Arr(items)
             }
             Some(b'"') => Json::Str(self.string()?.into_owned()),
-            Some(b't' | b'f') => Json::Bool(self.boolean()?),
+            Some(b't') if self.literal("true") => Json::Bool(true),
+            Some(b'f') if self.literal("false") => Json::Bool(false),
             Some(b'n') if self.literal("null") => Json::Null,
             Some(b'-' | b'0'..=b'9') => Json::Num(self.number()?),
             Some(_) => return Err(self.err("unexpected character")),

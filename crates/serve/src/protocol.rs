@@ -1284,8 +1284,7 @@ impl Response {
                     let message = tag_str(tags[0].or(Some("\"unspecified\"")))
                         .ok_or_else(|| bad("'error' must be a string"))?;
                     if message != "busy" {
-                        let message = message.into_owned();
-                        return each_key(r, outer).map(|()| Response::Error { message });
+                        return each_key(r, outer).map(|()| Response::error(message));
                     }
                     let (active, capacity) = wire_take!(r outer (ctor (active, capacity));
                         "active": active dflt, "capacity": capacity dflt);

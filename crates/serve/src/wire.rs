@@ -63,17 +63,14 @@ pub(crate) type Keys<'k, 'a> = &'k mut dyn FnMut(&str, &mut Reader<'a>) -> Decod
 /// A decoded value, or why it is not one.
 pub(crate) type Decoded<T> = Result<T, ProtocolError>;
 
-/// A row's value as read from the key's last occurrence, or why it
-/// failed to convert.
-pub(crate) type Slot<T> = Option<Decoded<T>>;
-
-/// Reads a row's value into its slot with `take`. A value that fails to
+/// Reads a row's value into its slot — the value of the key's last
+/// occurrence so far, or why it failed to convert — with `take`. A value that fails to
 /// convert is still skipped, and so validated; its error waits in the
 /// slot until the object is done, so a later occurrence of the key
 /// replaces it.
 pub(crate) fn read<'a, T>(
     r: &mut Reader<'a>,
-    slot: &mut Slot<T>,
+    slot: &mut Option<Decoded<T>>,
     take: impl FnOnce(&mut Reader<'a>) -> Decoded<T>,
 ) -> Decoded<bool> {
     let mark = r.mark();
@@ -175,7 +172,10 @@ impl Wire for bool {
     }
 
     fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
-        r.boolean().map_err(|_| mistyped(key, "a boolean"))
+        match r.skip() {
+            Ok(text) if text == "true" || text == "false" => Ok(text == "true"),
+            _ => Err(mistyped(key, "a boolean")),
+        }
     }
 
     fn is_empty(&self) -> bool {
@@ -189,9 +189,8 @@ impl Wire for String {
     }
 
     fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
-        r.string()
-            .map(Cow::into_owned)
-            .map_err(|_| mistyped(key, "a string"))
+        let text = r.string().map_err(|_| mistyped(key, "a string"))?;
+        Ok(text.into_owned())
     }
 
     fn is_empty(&self) -> bool {
@@ -214,7 +213,7 @@ impl<T: Wire> Wire for Vec<T> {
     fn take(r: &mut Reader<'_>, key: &str) -> Decoded<Self> {
         open(r, b'[', key, "an array")?;
         let mut items = Vec::new();
-        while r.next_item()? {
+        while r.more(b']')? {
             items.push(T::take(r, key)?);
         }
         Ok(items)
@@ -375,11 +374,11 @@ pub(crate) type Tags<'a> = [Option<&'a str>; 6];
 /// Records the raw value of `key` if it is one of the discriminator
 /// `keys`.
 fn see<'a>(r: &mut Reader<'a>, keys: &[&str], key: &str, tags: &mut Tags<'a>) -> Decoded<bool> {
-    let Some(i) = keys.iter().position(|k| *k == key) else {
-        return Ok(false);
-    };
-    tags[i] = Some(r.skip()?);
-    Ok(true)
+    let i = keys.iter().position(|k| *k == key);
+    if let Some(i) = i {
+        tags[i] = Some(r.skip()?);
+    }
+    Ok(i.is_some())
 }
 
 /// Reads a tagged object — one whose discriminator `keys` (its tag,
@@ -433,9 +432,7 @@ pub(crate) fn tag_str(raw: Option<&str>) -> Option<Cow<'_, str>> {
 
 /// Whether line-kind flag `name` (`done`, `stream`) is `true`.
 pub(crate) fn flag(keys: &[&str], tags: &Tags<'_>, name: &str) -> bool {
-    keys.iter()
-        .position(|k| *k == name)
-        .is_some_and(|i| tags[i] == Some("true"))
+    (keys.iter().zip(tags)).any(|(k, value)| *k == name && *value == Some("true"))
 }
 
 /// Gives [`Fields`] types their nested form: a JSON object.
@@ -615,12 +612,9 @@ macro_rules! wire_enum {
                 }
             }
 
+            #[allow(unreachable_patterns)]
             fn tag(&self) -> &'static str {
-                match self {
-                    $($ty::$var { .. } => $name,)*
-                    #[allow(unreachable_patterns)]
-                    _ => "",
-                }
+                match self { $($ty::$var { .. } => $name,)* _ => "" }
             }
         }
 
