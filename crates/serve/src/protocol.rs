@@ -2087,6 +2087,25 @@ mod tests {
     }
 
     #[test]
+    fn repeated_discriminators_decode_in_linear_time() {
+        // A megabyte of `type` keys costs one pass over the keys, one
+        // scan and one more read when the variant flips between rows —
+        // never a pass per key.
+        let want = Request::Eval(DesignPoint {
+            pes: 144,
+            ..DesignPoint::paper_alexnet()
+        });
+        for flips in [
+            r#""type":"stats","type":"eval","#.repeat(40_000),
+            r#""type":"stats","point":{"pes":288},"type":"eval","#.repeat(22_000),
+        ] {
+            let line = format!(r#"{{{flips}"point":{{"pes":144}}}}"#);
+            assert!(line.len() > 1 << 20);
+            assert_eq!(Request::decode(&line), Ok(want.clone()));
+        }
+    }
+
+    #[test]
     fn trace_contexts_propagate_and_legacy_lines_decode_unchanged() {
         // Every request shape can carry a context, which decodes back.
         let ctx = TraceContext {

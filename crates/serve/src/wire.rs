@@ -63,11 +63,11 @@ pub(crate) type Keys<'k, 'a> = &'k mut dyn FnMut(&str, &mut Reader<'a>) -> Decod
 /// A decoded value, or why it is not one.
 pub(crate) type Decoded<T> = Result<T, ProtocolError>;
 
-/// Reads a row's value into its slot — the value of the key's last
-/// occurrence so far, or why it failed to convert — with `take`. A value that fails to
-/// convert is still skipped, and so validated; its error waits in the
-/// slot until the object is done, so a later occurrence of the key
-/// replaces it.
+/// Reads a row's value with `take` into its slot, which holds the
+/// key's last occurrence so far: its value, or why it failed to
+/// convert. A value that fails is still skipped, and so validated; its
+/// error waits in the slot until the object is done, so a later
+/// occurrence of the key replaces it.
 pub(crate) fn read<'a, T>(
     r: &mut Reader<'a>,
     slot: &mut Option<Decoded<T>>,
@@ -97,7 +97,8 @@ pub(crate) fn each_key<'a>(
     Ok(())
 }
 
-/// Opens the object or array (`open`) that field `key` must hold.
+/// Opens the object or array (`b` is `{` or `[`) that field `key` must
+/// hold, else fails naming `what` it must be.
 pub(crate) fn open(r: &mut Reader<'_>, b: u8, key: &str, what: &str) -> Decoded<()> {
     r.open(b).map_err(|_| mistyped(key, what))
 }
@@ -431,7 +432,7 @@ pub(crate) fn tag_str(raw: Option<&str>) -> Option<Cow<'_, str>> {
 }
 
 /// Whether line-kind flag `name` (`done`, `stream`) is `true`.
-pub(crate) fn flag(keys: &[&str], tags: &Tags<'_>, name: &str) -> bool {
+pub(crate) fn flag_set(keys: &[&str], tags: &Tags<'_>, name: &str) -> bool {
     (keys.iter().zip(tags)).any(|(k, value)| *k == name && *value == Some("true"))
 }
 
@@ -630,7 +631,7 @@ macro_rules! wire_enum {
                     let kind = $crate::wire::tag_str(tags[0])
                         .ok_or_else(|| $crate::wire::bad(concat!("needs a string '", $tag, "'")))?;
                     match &*kind {
-                        $($name $(if $crate::wire::flag(KEYS, tags, $flag))? => {
+                        $($name $(if $crate::wire::flag_set(KEYS, tags, $flag))? => {
                             let value = $crate::wire::wire_take!(r outer
                                 (ctor $ty::$var { $($bind)* }); $($rows)*);
                             $(let mut value = value; $check(&mut value)?;)?
