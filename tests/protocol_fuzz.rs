@@ -312,6 +312,12 @@ fn the_last_of_conflicting_repeats_wins() {
             eval(288),
         ),
         (r#"{"type":"eval","point":{"pes":1,"pes":576}}"#, eval(576)),
+        // An earlier repeat whose value is mistyped is replaced too.
+        (
+            r#"{"type":"eval","point":{"pes":"many","pes":576}}"#,
+            eval(576),
+        ),
+        (r#"{"type":7,"point":{"pes":288},"type":"eval"}"#, eval(288)),
         (
             r#"{"type":"eval","point":{"pes":1},"point":{"pes":288}}"#,
             eval(288),
