@@ -6,6 +6,7 @@
 use std::path::PathBuf;
 
 use chain_nn_repro::dse::SweepSpec;
+use chain_nn_repro::serve::cluster::{ClusterConfig, Coordinator};
 use chain_nn_repro::serve::protocol::Response;
 use chain_nn_repro::serve::{Client, Server, ServerConfig, ServerReport};
 
@@ -24,6 +25,54 @@ fn start(config: ServerConfig) -> (std::net::SocketAddr, std::thread::JoinHandle
     let addr = server.local_addr().expect("addr");
     let handle = std::thread::spawn(move || server.run().expect("daemon runs"));
     (addr, handle)
+}
+
+/// The two fronts a client reaches the library through: a daemon, or a
+/// coordinator over one shard daemon. The session guards hold at both.
+#[derive(Debug, Clone, Copy)]
+enum Front {
+    Daemon,
+    Coordinator,
+}
+
+const FRONTS: [Front; 2] = [Front::Daemon, Front::Coordinator];
+
+/// Starts `front`. `config` sets up the daemon; behind a coordinator it
+/// sets up the shard, except the connection bound, which the coordinator
+/// takes. The handle joins everything started once a `shutdown` reached
+/// the front.
+fn start_front(
+    front: Front,
+    config: ServerConfig,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    match front {
+        Front::Daemon => {
+            let (addr, daemon) = start(config);
+            let handle = std::thread::spawn(move || {
+                daemon.join().expect("daemon");
+            });
+            (addr, handle)
+        }
+        Front::Coordinator => {
+            let max_connections = config.max_connections;
+            let (shard, daemon) = start(ServerConfig {
+                max_connections: ServerConfig::default().max_connections,
+                ..config
+            });
+            let coordinator = Coordinator::bind(ClusterConfig {
+                shards: vec![shard.to_string()],
+                max_connections,
+                ..ClusterConfig::default()
+            })
+            .expect("bind coordinator");
+            let addr = coordinator.local_addr().expect("addr");
+            let handle = std::thread::spawn(move || {
+                coordinator.run().expect("coordinator runs");
+                daemon.join().expect("shard");
+            });
+            (addr, handle)
+        }
+    }
 }
 
 fn sweep_summary(
@@ -214,82 +263,84 @@ fn daemon_restart_reserves_sqnr_from_the_persist_format() {
 /// in order, and eval answers match the library evaluator bit-exactly.
 #[test]
 fn session_is_robust_and_consistent_with_the_library() {
-    let (addr, daemon) = start(ServerConfig::default());
-    let mut client = Client::connect(addr).expect("connect");
+    for front in FRONTS {
+        let (addr, daemon) = start_front(front, ServerConfig::default());
+        let mut client = Client::connect(addr).expect("connect");
 
-    // Garbage first: the session answers an error and stays open.
-    let reply = client.request_raw("this is not json").expect("round trip");
-    assert!(reply.contains("\"ok\":false"), "{reply}");
-    let reply = client
-        .request_raw(r#"{"type":"warp_drive"}"#)
-        .expect("round trip");
-    assert!(reply.contains("\"ok\":false"), "{reply}");
-    // Nesting deep enough to overflow a recursive parser's stack is
-    // refused by the parser's depth bound, not fatal to the daemon.
-    let reply = client
-        .request_raw(&"[".repeat(100_000))
-        .expect("round trip");
-    assert!(reply.contains("\"ok\":false"), "{reply}");
+        // Garbage first: the session answers an error and stays open.
+        let reply = client.request_raw("this is not json").expect("round trip");
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        let reply = client
+            .request_raw(r#"{"type":"warp_drive"}"#)
+            .expect("round trip");
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        // Nesting deep enough to overflow a recursive parser's stack is
+        // refused by the parser's depth bound, not fatal to the daemon.
+        let reply = client
+            .request_raw(&"[".repeat(100_000))
+            .expect("round trip");
+        assert!(reply.contains("\"ok\":false"), "{reply}");
 
-    // Then a real eval on the same connection.
-    let paper = chain_nn_repro::dse::DesignPoint::paper_alexnet();
-    match client.eval(paper.clone()).expect("eval") {
-        Response::Eval { point, outcome } => {
-            assert_eq!(point, paper);
-            let served = *outcome.result().expect("paper point feasible");
-            let local = chain_nn_repro::dse::evaluate(&paper).expect("local eval");
-            let local = *local.result().expect("feasible");
-            assert_eq!(served.fps.to_bits(), local.fps.to_bits());
-            assert_eq!(served.chip_mw.to_bits(), local.chip_mw.to_bits());
-            assert_eq!(served.gates_k.to_bits(), local.gates_k.to_bits());
-        }
-        other => panic!("expected eval, got {other:?}"),
-    }
-
-    // An infeasible point is data, not an error.
-    let tiny = chain_nn_repro::dse::DesignPoint {
-        pes: 64,
-        ..paper.clone()
-    };
-    match client.eval(tiny).expect("eval") {
-        Response::Eval { outcome, .. } => assert!(outcome.result().is_none()),
-        other => panic!("expected eval, got {other:?}"),
-    }
-
-    // Points the models cannot serve — an empty batch, a clock that
-    // overflows them to infinity — are error replies that decode, not
-    // feasible results the wire cannot carry; the session still
-    // evaluates afterwards.
-    for bad in [
-        chain_nn_repro::dse::DesignPoint {
-            batch: 0,
-            ..paper.clone()
-        },
-        chain_nn_repro::dse::DesignPoint {
-            freq_mhz: 1e300,
-            ..paper.clone()
-        },
-    ] {
-        match client.eval(bad).expect("round trip decodes") {
-            Response::Error { message } => assert!(message.contains("invalid"), "{message}"),
-            other => panic!("expected error, got {other:?}"),
-        }
+        // Then a real eval on the same connection.
+        let paper = chain_nn_repro::dse::DesignPoint::paper_alexnet();
         match client.eval(paper.clone()).expect("eval") {
-            Response::Eval { outcome, .. } => assert!(outcome.result().is_some()),
+            Response::Eval { point, outcome } => {
+                assert_eq!(point, paper);
+                let served = *outcome.result().expect("paper point feasible");
+                let local = chain_nn_repro::dse::evaluate(&paper).expect("local eval");
+                let local = *local.result().expect("feasible");
+                assert_eq!(served.fps.to_bits(), local.fps.to_bits());
+                assert_eq!(served.chip_mw.to_bits(), local.chip_mw.to_bits());
+                assert_eq!(served.gates_k.to_bits(), local.gates_k.to_bits());
+            }
             other => panic!("expected eval, got {other:?}"),
         }
-    }
 
-    // A spec-level invalid sweep is an error response, not a dead daemon.
-    let mut bad = lenet_grid(vec![25]);
-    bad.nets = vec!["squeezenet".into()];
-    match client.sweep(bad).expect("round trip") {
-        Response::Error { message } => assert!(message.contains("squeezenet"), "{message}"),
-        other => panic!("expected error, got {other:?}"),
-    }
+        // An infeasible point is data, not an error.
+        let tiny = chain_nn_repro::dse::DesignPoint {
+            pes: 64,
+            ..paper.clone()
+        };
+        match client.eval(tiny).expect("eval") {
+            Response::Eval { outcome, .. } => assert!(outcome.result().is_none()),
+            other => panic!("expected eval, got {other:?}"),
+        }
 
-    client.shutdown().expect("shutdown");
-    daemon.join().expect("daemon");
+        // Points the models cannot serve — an empty batch, a clock that
+        // overflows them to infinity — are error replies that decode, not
+        // feasible results the wire cannot carry; the session still
+        // evaluates afterwards.
+        for bad in [
+            chain_nn_repro::dse::DesignPoint {
+                batch: 0,
+                ..paper.clone()
+            },
+            chain_nn_repro::dse::DesignPoint {
+                freq_mhz: 1e300,
+                ..paper.clone()
+            },
+        ] {
+            match client.eval(bad).expect("round trip decodes") {
+                Response::Error { message } => assert!(message.contains("invalid"), "{message}"),
+                other => panic!("expected error, got {other:?}"),
+            }
+            match client.eval(paper.clone()).expect("eval") {
+                Response::Eval { outcome, .. } => assert!(outcome.result().is_some()),
+                other => panic!("expected eval, got {other:?}"),
+            }
+        }
+
+        // A spec-level invalid sweep is an error response, not a dead daemon.
+        let mut bad = lenet_grid(vec![25]);
+        bad.nets = vec!["squeezenet".into()];
+        match client.sweep(bad).expect("round trip") {
+            Response::Error { message } => assert!(message.contains("squeezenet"), "{message}"),
+            other => panic!("expected error, got {other:?}"),
+        }
+
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("daemon");
+    }
 }
 
 /// A tune served by the daemon chooses the same point as the local
@@ -491,52 +542,57 @@ fn streaming_frontier_matches_the_aggregate_reply() {
 fn connection_bound_refuses_with_busy_then_recovers() {
     use std::io::{BufRead, BufReader};
 
-    let (addr, daemon) = start(ServerConfig {
-        threads: 1,
-        max_connections: 2,
-        ..ServerConfig::default()
-    });
+    for front in FRONTS {
+        let (addr, daemon) = start_front(
+            front,
+            ServerConfig {
+                threads: 1,
+                max_connections: 2,
+                ..ServerConfig::default()
+            },
+        );
 
-    // Two live sessions (a served request proves each is registered).
-    let mut a = Client::connect(addr).expect("connect a");
-    assert!(matches!(a.stats().expect("stats"), Response::Stats(_)));
-    let mut b = Client::connect(addr).expect("connect b");
-    match b.stats().expect("stats") {
-        Response::Stats(stats) => {
-            assert_eq!(stats.open_connections, 2);
-            assert_eq!(stats.max_connections, 2);
+        // Two live sessions (a served request proves each is registered).
+        let mut a = Client::connect(addr).expect("connect a");
+        assert!(matches!(a.stats().expect("stats"), Response::Stats(_)));
+        let mut b = Client::connect(addr).expect("connect b");
+        match b.stats().expect("stats") {
+            Response::Stats(stats) => {
+                assert_eq!(stats.open_connections, 2);
+                assert_eq!(stats.max_connections, 2);
+            }
+            other => panic!("expected stats, got {other:?}"),
         }
-        other => panic!("expected stats, got {other:?}"),
-    }
 
-    // The third connection is refused with a busy line, then EOF.
-    let refused = std::net::TcpStream::connect(addr).expect("tcp connect");
-    let mut lines = BufReader::new(refused);
-    let mut line = String::new();
-    lines.read_line(&mut line).expect("busy line");
-    assert!(line.contains("\"ok\":false"), "{line}");
-    assert!(line.contains("\"error\":\"busy\""), "{line}");
-    line.clear();
-    assert_eq!(lines.read_line(&mut line).expect("eof"), 0, "{line}");
+        // The third connection is refused with a busy line, then EOF.
+        let refused = std::net::TcpStream::connect(addr).expect("tcp connect");
+        let mut lines = BufReader::new(refused);
+        let mut line = String::new();
+        lines.read_line(&mut line).expect("busy line");
+        assert!(line.contains("\"ok\":false"), "{line}");
+        assert!(line.contains("\"error\":\"busy\""), "{line}");
+        line.clear();
+        assert_eq!(lines.read_line(&mut line).expect("eof"), 0, "{line}");
 
-    // Dropping a session frees its slot (the daemon notices the EOF
-    // asynchronously, so poll briefly).
-    drop(a);
-    let mut c = None;
-    for _ in 0..200 {
-        let mut candidate = Client::connect(addr).expect("tcp connect");
-        if let Ok(Response::Stats(_)) = candidate.stats() {
-            c = Some(candidate);
-            break;
+        // Dropping a session frees its slot (the daemon notices the EOF
+        // asynchronously, so poll briefly).
+        drop(a);
+        let mut c = None;
+        for _ in 0..200 {
+            let mut candidate = Client::connect(addr).expect("tcp connect");
+            if let Ok(Response::Stats(_)) = candidate.stats() {
+                c = Some(candidate);
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    let mut c = c.expect("slot freed after disconnect");
-    assert!(matches!(c.stats().expect("stats"), Response::Stats(_)));
+        let mut c = c.expect("slot freed after disconnect");
+        assert!(matches!(c.stats().expect("stats"), Response::Stats(_)));
 
-    c.shutdown().expect("shutdown");
-    drop(b);
-    daemon.join().expect("daemon");
+        c.shutdown().expect("shutdown");
+        drop(b);
+        daemon.join().expect("daemon");
+    }
 }
 
 /// `--cache-cap` bounds the in-memory cache even without a cache file:
@@ -579,23 +635,25 @@ fn cache_cap_bounds_memory_without_a_cache_file() {
 #[test]
 fn oversized_request_is_refused_not_buffered() {
     use std::io::{Read, Write};
-    let (addr, daemon) = start(ServerConfig::default());
+    for front in FRONTS {
+        let (addr, daemon) = start_front(front, ServerConfig::default());
 
-    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
-    // Exactly the daemon's line cap, no newline anywhere: the daemon
-    // consumes it all, refuses, and closes cleanly. (Anything *longer*
-    // is also refused, but the unread remainder then makes the close a
-    // reset rather than a polite FIN.)
-    let blob = vec![b'a'; 1 << 20];
-    raw.write_all(&blob).expect("write blob");
-    let mut reply = String::new();
-    raw.read_to_string(&mut reply).expect("read until close");
-    assert!(reply.contains("\"ok\":false"), "{reply}");
-    assert!(reply.contains("exceeds"), "{reply}");
+        let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+        // Exactly the daemon's line cap, no newline anywhere: the daemon
+        // consumes it all, refuses, and closes cleanly. (Anything *longer*
+        // is also refused, but the unread remainder then makes the close a
+        // reset rather than a polite FIN.)
+        let blob = vec![b'a'; 1 << 20];
+        raw.write_all(&blob).expect("write blob");
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply).expect("read until close");
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        assert!(reply.contains("exceeds"), "{reply}");
 
-    // The daemon itself is unharmed.
-    let mut client = Client::connect(addr).expect("connect");
-    assert!(matches!(client.stats().expect("stats"), Response::Stats(_)));
-    client.shutdown().expect("shutdown");
-    daemon.join().expect("daemon");
+        // The daemon itself is unharmed.
+        let mut client = Client::connect(addr).expect("connect");
+        assert!(matches!(client.stats().expect("stats"), Response::Stats(_)));
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("daemon");
+    }
 }
