@@ -760,7 +760,7 @@ impl Engine {
         // On error the whole remaining range counts as finished so the
         // waiter's completion arithmetic still closes.
         let finished_now = end - start;
-        let job_complete = {
+        {
             let mut cs = done.state.lock().expect("completion lock poisoned");
             cs.finished += finished_now;
             cs.cache_hits += hits;
@@ -777,25 +777,27 @@ impl Engine {
                 // observe completion.
                 let _ = done.finished_at.set(Instant::now());
             }
-            done.cv.notify_all();
-            let complete = cs.finished >= cs.total && !cs.closed;
-            if complete {
+            if cs.finished >= cs.total && !cs.closed {
                 cs.closed = true;
+                // Retire the job before its waiter can observe
+                // completion: a submitter whose wait() returned may
+                // resubmit at once and must not find this job still
+                // holding its slot. Completion → engine is the only
+                // order these two locks are ever nested in.
+                self.retire_job(done);
             }
-            complete
-        };
-        if job_complete {
-            self.remove_job(done);
-            if done.slot == SlotOwnership::Owned {
-                self.finish_job();
-            }
+            done.cv.notify_all();
         }
     }
 
-    /// Drops a finished/poisoned job from the claim list.
-    fn remove_job(&self, done: &Arc<Completion>) {
+    /// Drops a finished/poisoned job from the claim list and releases
+    /// the admission slot it owns.
+    fn retire_job(&self, done: &Arc<Completion>) {
         let mut state = self.state.lock().expect("engine lock poisoned");
         state.jobs.retain(|job| !Arc::ptr_eq(&job.done, done));
+        if done.slot == SlotOwnership::Owned {
+            state.active -= 1;
+        }
     }
 }
 
@@ -832,14 +834,44 @@ mod tests {
         n: usize,
         body: impl FnOnce() -> R,
     ) -> R {
+        // Shuts the engine down however `body` ends: after a failed
+        // assertion too, or the workers would wait in `claim()` forever
+        // and the scope would never join.
+        struct Shutdown<'a>(&'a Engine);
+        impl Drop for Shutdown<'_> {
+            fn drop(&mut self) {
+                self.0.begin_shutdown();
+            }
+        }
         std::thread::scope(|scope| {
             for w in 0..n {
                 scope.spawn(move || engine.worker_loop_indexed(w as u32, cache));
             }
-            let out = body();
-            engine.begin_shutdown();
-            out
+            let _shutdown = Shutdown(engine);
+            body()
         })
+    }
+
+    #[test]
+    fn a_finished_job_frees_its_slot_before_its_waiter_wakes() {
+        // Capacity 1, one worker: every resubmission right after a
+        // wait() returned must be admitted.
+        let engine = Engine::new(1, ClaimPolicy::adaptive());
+        let cache = PointCache::new();
+        let points = grid(vec![25]);
+        let refused = with_workers(&engine, &cache, 1, || {
+            (0..2000)
+                .filter(|_| match engine.submit(points.clone()) {
+                    Ok(handle) => {
+                        handle.wait().unwrap();
+                        false
+                    }
+                    Err(SubmitError::Busy { .. }) => true,
+                    Err(e) => panic!("unexpected refusal: {e:?}"),
+                })
+                .count()
+        });
+        assert_eq!(refused, 0, "cycles refused busy");
     }
 
     #[test]

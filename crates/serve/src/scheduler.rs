@@ -248,14 +248,22 @@ mod tests {
     }
 
     fn with_workers<R>(sched: &Arc<Scheduler>, n: usize, body: impl FnOnce() -> R) -> R {
+        // Shuts the scheduler down however `body` ends: after a failed
+        // assertion too, or the workers would wait for work forever and
+        // the scope would never join.
+        struct Shutdown<'a>(&'a Scheduler);
+        impl Drop for Shutdown<'_> {
+            fn drop(&mut self) {
+                self.0.begin_shutdown();
+            }
+        }
         std::thread::scope(|scope| {
             for w in 0..n {
                 let s = Arc::clone(sched);
                 scope.spawn(move || s.worker_loop_indexed(w as u32));
             }
-            let out = body();
-            sched.begin_shutdown();
-            out
+            let _shutdown = Shutdown(sched);
+            body()
         })
     }
 

@@ -1649,14 +1649,22 @@ mod tests {
     }
 
     fn with_workers<R>(shared: &Arc<Shared>, body: impl FnOnce() -> R) -> R {
+        // Shuts the scheduler down however `body` ends: after a failed
+        // assertion too, or the workers would wait for work forever and
+        // the scope would never join.
+        struct Shutdown<'a>(&'a Shared);
+        impl Drop for Shutdown<'_> {
+            fn drop(&mut self) {
+                self.0.scheduler.begin_shutdown();
+            }
+        }
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 let s = Arc::clone(shared);
                 scope.spawn(move || s.scheduler.worker_loop());
             }
-            let out = body();
-            shared.scheduler.begin_shutdown();
-            out
+            let _shutdown = Shutdown(shared);
+            body()
         })
     }
 
