@@ -878,26 +878,36 @@ fn coordinator_cmd(flags: &Flags) -> CmdResult {
         return Err("a coordinator needs --shards host:port,host:port,...".into());
     }
     let n = shards.len();
-    let config = chain_nn_serve::cluster::ClusterConfig {
-        host: flags.get_str("host").unwrap_or("127.0.0.1").to_owned(),
-        port: flags.get_or("port", 7878u16)?,
-        shards,
-        max_connections: flags.get_or("max-connections", 64usize)?,
-    };
-    let coordinator = chain_nn_serve::cluster::Coordinator::bind(config)?;
-    // Same eager readiness announcement as `serve` — scripts and the
-    // CI cluster-smoke job wait for "listening" before connecting.
+    let report = run_coordinator(flags, shards)?;
+    Ok(format!(
+        "coordinator stopped: {} requests served across {n} shards\n",
+        report.requests
+    ))
+}
+
+/// Binds a coordinator over `shards` on `--host`/`--port` with
+/// `--max-connections`, announces it, and serves until shutdown. The
+/// announcement is eager, as in `serve`: scripts and the CI
+/// cluster-smoke job wait for "listening" before connecting.
+fn run_coordinator(
+    flags: &Flags,
+    shards: Vec<String>,
+) -> Result<chain_nn_serve::ServerReport, Box<dyn Error>> {
+    let n = shards.len();
+    let coordinator =
+        chain_nn_serve::cluster::Coordinator::bind(chain_nn_serve::cluster::ClusterConfig {
+            host: flags.get_str("host").unwrap_or("127.0.0.1").to_owned(),
+            port: flags.get_or("port", 7878u16)?,
+            shards,
+            max_connections: flags.get_or("max-connections", 64usize)?,
+        })?;
     println!(
         "chain-nn cluster coordinator listening on {} ({n} shards)",
         coordinator.local_addr()?,
     );
     use std::io::Write as _;
     std::io::stdout().flush()?;
-    let report = coordinator.run()?;
-    Ok(format!(
-        "coordinator stopped: {} requests served across {n} shards\n",
-        report.requests
-    ))
+    Ok(coordinator.run()?)
 }
 
 /// `cluster` — the one-command local fleet: N in-process shard daemons
@@ -934,20 +944,7 @@ fn cluster_cmd(flags: &Flags) -> CmdResult {
         addrs.push(addr.to_string());
         daemons.push(std::thread::spawn(move || server.run()));
     }
-    let config = chain_nn_serve::cluster::ClusterConfig {
-        host: flags.get_str("host").unwrap_or("127.0.0.1").to_owned(),
-        port: flags.get_or("port", 7878u16)?,
-        shards: addrs,
-        max_connections: flags.get_or("max-connections", 64usize)?,
-    };
-    let coordinator = chain_nn_serve::cluster::Coordinator::bind(config)?;
-    println!(
-        "chain-nn cluster coordinator listening on {} ({n} shards)",
-        coordinator.local_addr()?,
-    );
-    use std::io::Write as _;
-    std::io::stdout().flush()?;
-    let report = coordinator.run()?;
+    let report = run_coordinator(flags, addrs)?;
     // The coordinator forwarded the shutdown to every shard; collect
     // their reports so the persistence accounting is visible.
     let mut cached = 0usize;

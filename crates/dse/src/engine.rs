@@ -250,7 +250,7 @@ enum SlotOwnership {
 }
 
 /// Everything one finished job produced.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct JobResult {
     /// Outcomes in the submitted point order.
     pub outcomes: Vec<PointOutcome>,

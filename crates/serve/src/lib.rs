@@ -75,6 +75,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod backend;
 pub mod client;
 pub mod cluster;
 pub mod json;

@@ -177,7 +177,7 @@ pub enum Request {
 /// What one sweep did, without shipping every outcome back: sizes,
 /// cache traffic and the Pareto-optimal indices into the grid's
 /// deterministic point order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepSummary {
     /// Points in the grid.
     pub points: usize,
@@ -314,7 +314,7 @@ pub struct ShardStat {
 }
 
 /// Daemon-side counters reported by [`Request::Stats`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServerStats {
     /// Distinct points in the shared cache.
     pub cached_points: usize,

@@ -1,15 +1,15 @@
-//! The explorer daemon: TCP accept loop, per-connection sessions, the
-//! worker pool, and cache persistence.
+//! The daemon's one session layer: TCP accept loop, connection bound,
+//! per-connection sessions, request spans and metrics, the trace log,
+//! the sampler, and one function per request type.
 //!
-//! One [`Server`] owns one [`Scheduler`] (and through it the one shared
-//! [`PointCache`]). Each accepted connection gets a session thread that
-//! reads request lines, submits work, and writes response lines; the
-//! actual evaluations happen on the scheduler's worker pool, where
-//! batches from all sessions interleave fairly. With a cache file
-//! attached, the daemon replays it before accepting connections and
-//! appends every completed request's fresh evaluations (plus a final
-//! sweep at shutdown), so a restarted daemon re-serves prior sweeps
-//! without a single model evaluation.
+//! Each accepted connection gets a session thread that reads request
+//! lines, decodes them, and writes response lines. What a request is
+//! answered *with* is the [`Backend`]'s business: a [`Server`] from
+//! [`Server::bind`] evaluates on its own scheduler over one shared
+//! [`PointCache`](chain_nn_dse::PointCache) and cache file
+//! ([`crate::backend`]), where batches from all sessions interleave
+//! fairly; a [`crate::cluster::Coordinator`] is the same session layer
+//! over a fan-out to shard daemons.
 //!
 //! Shutdown is cooperative: a `shutdown` request is acknowledged on its
 //! own connection, admission closes, the workers drain what was already
@@ -23,17 +23,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use chain_nn_dse::{pareto, CacheFile, DesignPoint, MixOutcome, PointCache, WorkloadMix};
+use chain_nn_dse::{pareto, DesignPoint};
 use chain_nn_obs::timeseries::{TimeSeries, Window};
 use chain_nn_obs::trace::{self as obs_trace, TraceContext};
 use chain_nn_obs::{Counter, Gauge, Histogram, Registry};
-use chain_nn_tuner::{evaluator, frontier, tune, MixEvaluator, TuneError};
+use chain_nn_tuner::frontier::{self, FrontierTuneRequest};
+use chain_nn_tuner::{BatchFnEvaluator, MixEvaluator, TuneError, TuneRequest};
 
+use crate::backend::{Backend, Evaluated, Failure, Local, Session};
 use crate::protocol::{
-    FrontierDoneSummary, FrontierEntry, FrontierStepSummary, HistoryTypeWindow, HistoryWindow,
-    MetricsHistory, Request, Response, ServerStats, SweepSummary, TuneSummary, WatchSample,
+    FrontierDoneSummary, FrontierStepSummary, HistoryTypeWindow, HistoryWindow, MetricsHistory,
+    Request, Response, ServerStats, TuneSummary, WatchSample,
 };
-use crate::scheduler::{AdmissionSlot, ClaimPolicy, Scheduler, SubmitError, TraceRef, BATCH_SIZE};
+use crate::scheduler::{ClaimPolicy, JobResult, TraceRef, BATCH_SIZE};
 use crate::slo::{SloSpec, SloTracker};
 use crate::wire::{wire_struct, Tagged, Wire};
 
@@ -132,19 +134,13 @@ pub struct ServerReport {
 }
 
 struct Shared {
-    scheduler: Scheduler,
-    cache: Arc<PointCache>,
-    cache_file: Option<CacheFile>,
-    /// Serializes flushes so concurrent batch completions do not
-    /// interleave appends.
-    flush_lock: Mutex<()>,
-    persisted: AtomicU64,
+    /// What requests are answered with: the local scheduler and cache,
+    /// or the shard fan-out.
+    backend: Box<dyn Backend>,
     requests: AtomicU64,
+    /// Fresh evaluations the flushes appended to the cache file.
+    persisted: AtomicU64,
     shutdown: AtomicBool,
-    threads: usize,
-    loaded_from_disk: usize,
-    /// Whether the cache has a capacity bound (`--cache-cap`).
-    cache_bounded: bool,
     /// Sessions currently open (incremented at accept, decremented when
     /// the session thread exits).
     connections: AtomicUsize,
@@ -269,7 +265,8 @@ impl ServeMetrics {
 /// the request moves through parse → queue → execute → flush, then
 /// folded into the registry and (optionally) the trace log by the
 /// session loop.
-struct RequestSpan {
+#[derive(Default)]
+pub(crate) struct RequestSpan {
     /// Monotonic id, unique within one daemon lifetime.
     id: u64,
     /// Owning trace: the client-propagated id, or a daemon-assigned
@@ -297,7 +294,7 @@ struct RequestSpan {
     jobs: u64,
     /// Points evaluated (or tuner evaluations) on behalf of this
     /// request.
-    points: u64,
+    pub(crate) points: u64,
     /// Per-job cache hits attributed to this request.
     cache_hits: u64,
     /// Per-job cache misses attributed to this request.
@@ -312,26 +309,15 @@ impl RequestSpan {
     fn new(id: u64) -> RequestSpan {
         RequestSpan {
             id,
-            trace_id: 0,
-            remote_parent: 0,
-            root_span: 0,
             kind: "unknown",
-            parse: Duration::ZERO,
-            queue_wait: Duration::ZERO,
-            execute: Duration::ZERO,
-            flush: Duration::ZERO,
-            jobs: 0,
-            points: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            req_id: None,
+            ..RequestSpan::default()
         }
     }
 
     /// The scheduler-facing trace reference: who batch spans should
     /// parent onto. `None` before the line parsed (and for parse
     /// errors), which records no spans at all.
-    fn trace_ref(&self) -> Option<TraceRef> {
+    pub(crate) fn trace_ref(&self) -> Option<TraceRef> {
         (self.trace_id != 0).then_some(TraceRef {
             trace_id: self.trace_id,
             parent_span: self.root_span,
@@ -340,35 +326,23 @@ impl RequestSpan {
 
     /// Folds one completed scheduler job's timings and cache counters
     /// into the span.
-    fn absorb_job(&mut self, queue_wait: Duration, execute: Duration, hits: u64, misses: u64) {
-        self.queue_wait += queue_wait;
-        self.execute += execute;
-        self.cache_hits += hits;
-        self.cache_misses += misses;
+    pub(crate) fn absorb_job(&mut self, job: &JobResult) {
+        self.queue_wait += job.queue_wait;
+        self.execute += job.execute;
+        self.cache_hits += job.cache_hits;
+        self.cache_misses += job.cache_misses;
         self.jobs += 1;
     }
 }
 
 impl Shared {
-    /// Appends the cache's dirty journal to the snapshot file (no-op
-    /// without one). Called after every request that may have evaluated
-    /// something, and once more at shutdown.
-    fn flush(&self) -> std::io::Result<usize> {
-        let Some(file) = &self.cache_file else {
-            if self.cache_bounded {
-                // No persistence to protect: discard the journal so the
-                // capacity bound can actually evict (eviction never
-                // touches dirty entries) and the journal does not hold
-                // a second copy of every evaluation forever.
-                let _guard = self.flush_lock.lock().expect("flush lock poisoned");
-                drop(self.cache.take_dirty());
-            }
-            return Ok(0);
-        };
-        let _guard = self.flush_lock.lock().expect("flush lock poisoned");
-        let n = file.flush_dirty(&self.cache)?;
-        self.persisted.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(n)
+    /// The backend's flush, counted into the lifetime report. Called
+    /// after every request that may have evaluated something, and once
+    /// more at shutdown.
+    fn flush(&self) -> std::io::Result<()> {
+        let appended = self.backend.flush()?;
+        self.persisted.fetch_add(appended as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Refreshes the scrape-time gauges: state that lives in counters
@@ -378,22 +352,20 @@ impl Shared {
     /// `--sample-interval-ms` must not serve stale queue depth to a
     /// scrape that asked right now.
     fn refresh_gauges(&self) {
-        let stats = self.cache.stats();
-        let registry = &self.registry;
-        registry
-            .gauge("serve_uptime_seconds")
-            .set(registry.uptime().as_secs_f64());
-        registry
-            .gauge("serve_open_connections")
-            .set(self.connections.load(Ordering::SeqCst) as f64);
-        registry
-            .gauge("serve_active_jobs")
-            .set(self.scheduler.active_jobs() as f64);
-        registry
-            .gauge("serve_queue_depth")
-            .set(self.scheduler.queue_depth() as f64);
-        registry.gauge("cache_points").set(self.cache.len() as f64);
-        registry.gauge("cache_hit_rate").set(stats.hit_rate());
+        let load = self.backend.counters();
+        for (name, value) in [
+            ("serve_uptime_seconds", self.registry.uptime().as_secs_f64()),
+            (
+                "serve_open_connections",
+                self.connections.load(Ordering::SeqCst) as f64,
+            ),
+            ("serve_active_jobs", load.active_jobs as f64),
+            ("serve_queue_depth", load.queue_depth as f64),
+            ("cache_points", load.cached_points as f64),
+            ("cache_hit_rate", load.hit_rate),
+        ] {
+            self.registry.gauge(name).set(value);
+        }
     }
 
     /// One sampler tick: refresh the scrape-time gauges (so the ring
@@ -445,18 +417,19 @@ impl Server {
     /// file is not an error — it loads to its valid prefix — but an
     /// unreadable one, or one with a foreign magic line, is).
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind((config.host.as_str(), config.port))?;
-        let cache = Arc::new(match config.cache_capacity {
-            Some(capacity) => PointCache::bounded(capacity),
-            None => PointCache::new(),
-        });
-        let cache_file = config.cache_file.as_ref().map(CacheFile::new);
-        let mut loaded_from_disk = 0;
-        if let Some(file) = &cache_file {
-            loaded_from_disk = file.load_into(&cache)?.loaded;
-        }
-        let threads = config.threads.max(1);
         let registry = Registry::new();
+        let local = Local::open(&config, &registry)?;
+        Server::with_backend(config, registry, Box::new(local))
+    }
+
+    /// Binds the session layer over `backend`, whose metrics live in
+    /// `registry` beside the session layer's own.
+    pub(crate) fn with_backend(
+        config: ServerConfig,
+        registry: Registry,
+        backend: Box<dyn Backend>,
+    ) -> std::io::Result<Server> {
+        let listener = TcpListener::bind((config.host.as_str(), config.port))?;
         let metrics = ServeMetrics::register(&registry);
         let trace = match &config.trace_log {
             Some(path) => Some(Mutex::new(TraceLog::create(
@@ -472,21 +445,10 @@ impl Server {
             PathBuf::from(flight)
         });
         let shared = Arc::new(Shared {
-            scheduler: Scheduler::with_policy(
-                Arc::clone(&cache),
-                config.queue_capacity,
-                config.claim,
-                &registry,
-            ),
-            cache,
-            cache_file,
-            flush_lock: Mutex::new(()),
-            persisted: AtomicU64::new(0),
+            backend,
             requests: AtomicU64::new(0),
+            persisted: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            threads,
-            loaded_from_disk,
-            cache_bounded: config.cache_capacity.is_some(),
             connections: AtomicUsize::new(0),
             max_connections: config.max_connections.max(1),
             registry,
@@ -520,7 +482,7 @@ impl Server {
 
     /// Entries replayed from the cache file at bind time.
     pub fn loaded_from_disk(&self) -> usize {
-        self.shared.loaded_from_disk
+        self.shared.backend.counters().loaded_from_disk
     }
 
     /// Serves until a `shutdown` request arrives, then drains, flushes
@@ -536,16 +498,10 @@ impl Server {
         self.listener.set_nonblocking(true)?;
         let shared = &self.shared;
         std::thread::scope(|scope| -> std::io::Result<()> {
-            for idx in 0..shared.threads {
-                let s = Arc::clone(shared);
-                scope.spawn(move || s.scheduler.worker_loop_indexed(idx as u32));
-            }
-            {
-                // The sampler: one registry snapshot per interval into
-                // the metrics history ring, plus SLO evaluation.
-                let s = Arc::clone(shared);
-                scope.spawn(move || s.sampler_loop());
-            }
+            shared.backend.run_workers(scope);
+            // The sampler: one registry snapshot per interval into the
+            // metrics history ring, plus SLO evaluation.
+            scope.spawn(|| shared.sampler_loop());
             let mut outcome = Ok(());
             while !shared.shutdown.load(Ordering::SeqCst) {
                 match self.listener.accept() {
@@ -593,15 +549,16 @@ impl Server {
             // (re)set here so the sampler thread exits on the error
             // path, where no shutdown request ever stored it.
             shared.shutdown.store(true, Ordering::SeqCst);
-            shared.scheduler.begin_shutdown();
+            shared.backend.begin_shutdown();
             outcome
         })?;
         shared.flush()?;
+        let counters = shared.backend.counters();
         Ok(ServerReport {
             requests: shared.requests.load(Ordering::Relaxed),
-            loaded_from_disk: shared.loaded_from_disk,
+            loaded_from_disk: counters.loaded_from_disk,
             persisted: shared.persisted.load(Ordering::Relaxed) as usize,
-            cached_points: shared.cache.len(),
+            cached_points: counters.cached_points,
         })
     }
 }
@@ -619,24 +576,19 @@ const MAX_REQUEST_BYTES: u64 = 1 << 20;
 /// with `"stream":true`, `watch`) it is the contract — each result
 /// line reaches the client as it is produced, before the next
 /// step/entry/sample is computed.
-pub struct LineSink<'a> {
+struct LineSink<'a> {
     writer: &'a mut dyn Write,
     req_id: Option<u64>,
 }
 
 impl<'a> LineSink<'a> {
     /// Wraps a transport writer (a `BufWriter<TcpStream>` in the
-    /// daemon; anything `Write` in tests).
-    pub fn new(writer: &'a mut dyn Write) -> Self {
-        LineSink::with_id(writer, None)
-    }
-
-    /// Wraps a transport writer and stamps every line with the
-    /// pipelining id the client sent (`None` leaves the wire
+    /// daemon; anything `Write` in tests) and stamps every line with
+    /// the pipelining id the client sent (`None` leaves the wire
     /// unchanged). Streamed lines carry the id too — that is what lets
     /// a pipelining client attribute every line of an interleaved
     /// session to the request that produced it.
-    pub fn with_id(writer: &'a mut dyn Write, req_id: Option<u64>) -> Self {
+    fn with_id(writer: &'a mut dyn Write, req_id: Option<u64>) -> Self {
         LineSink { writer, req_id }
     }
 
@@ -646,7 +598,7 @@ impl<'a> LineSink<'a> {
     ///
     /// The underlying transport failure — the peer is gone; abandon
     /// the session.
-    pub fn send(&mut self, response: &Response) -> std::io::Result<()> {
+    fn send(&mut self, response: &Response) -> std::io::Result<()> {
         let mut wire = response.encode_with_req(self.req_id);
         wire.push('\n');
         self.writer.write_all(wire.as_bytes())?;
@@ -673,7 +625,8 @@ impl RequestOutcome {
 /// Answers one `busy` line on a just-accepted socket and drops it —
 /// the connection-bound refusal path.
 fn refuse_connection(stream: TcpStream, active: usize, capacity: usize) {
-    let _ = LineSink::new(&mut BufWriter::new(stream)).send(&Response::Busy { active, capacity });
+    let _ = LineSink::with_id(&mut BufWriter::new(stream), None)
+        .send(&Response::Busy { active, capacity });
 }
 
 /// One session: line in, line out, until EOF or shutdown.
@@ -683,6 +636,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     };
     let mut reader = BufReader::new(peer_read);
     let mut writer = BufWriter::new(stream);
+    let mut session = shared.backend.session();
     let mut line = String::new();
     loop {
         line.clear();
@@ -693,7 +647,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 // Oversized request: answer once, drop the connection
                 // (the rest of the line cannot be resynchronized).
                 let refusal = format!("request exceeds {MAX_REQUEST_BYTES} bytes");
-                let _ = LineSink::new(&mut writer).send(&Response::error(refusal));
+                let _ = LineSink::with_id(&mut writer, None).send(&Response::error(refusal));
                 return;
             }
             Ok(_) => {}
@@ -706,7 +660,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         let received = Instant::now();
         shared.metrics.inflight.inc();
         let mut span = RequestSpan::new(shared.next_request_id.fetch_add(1, Ordering::Relaxed));
-        let outcome = handle_request(trimmed, shared, &mut writer, &mut span);
+        let outcome = handle_request(trimmed, shared, &mut *session, &mut writer, &mut span);
         shared.metrics.inflight.dec();
         let status = match &outcome {
             RequestOutcome::Reply(response, _) => match **response {
@@ -885,13 +839,15 @@ fn timed_flush(shared: &Shared, span: &mut RequestSpan) {
     shared.metrics.flush_ns.record_duration(span.flush);
 }
 
-/// Dispatches one parsed request. Streaming requests write their lines
-/// through `writer` themselves; everything else returns the single
-/// reply for the session loop to send (the bool asks the session to
-/// close and trip the daemon shutdown flag after replying).
+/// Dispatches one parsed request to its function. Streaming requests
+/// write their lines through `writer` themselves; everything else
+/// returns the single reply for the session loop to send (the bool asks
+/// the session to close and trip the daemon shutdown flag after
+/// replying).
 fn handle_request(
     line: &str,
-    shared: &Arc<Shared>,
+    shared: &Shared,
+    session: &mut dyn Session,
     writer: &mut dyn Write,
     span: &mut RequestSpan,
 ) -> RequestOutcome {
@@ -906,11 +862,10 @@ fn handle_request(
     };
     span.parse = parse_started.elapsed();
     span.req_id = meta.req_id;
-    let ctx = meta.trace;
     // Every well-formed request gets a trace: the client's propagated
     // context when present, a daemon-assigned id otherwise (offset so
     // it can never collide with small client-chosen ids).
-    let ctx = ctx.unwrap_or_else(|| TraceContext {
+    let ctx = meta.trace.unwrap_or_else(|| TraceContext {
         id: obs_trace::next_trace_id(),
         parent: 0,
     });
@@ -918,327 +873,30 @@ fn handle_request(
     span.remote_parent = ctx.parent;
     span.root_span = obs_trace::next_span_id();
     span.kind = request.tag();
-    match request {
-        Request::Eval(point) => {
-            // Cache-hit fast path: a memoized point is answered inline.
-            // The scheduler round trip (submit, wake a worker, wake the
-            // session) costs tens of microseconds of handoff — more
-            // than the lookup itself — and would serialize a pipelined
-            // client's cached evals behind it.
-            let response = if let Some(outcome) = shared.scheduler.cache().probe(&point) {
-                span.absorb_job(Duration::ZERO, Duration::ZERO, 1, 0);
-                span.points = 1;
-                Response::Eval { point, outcome }
-            } else {
-                match shared
-                    .scheduler
-                    .submit_traced(vec![point.clone()], span.trace_ref())
-                {
-                    Err(e) => submit_error_response(e),
-                    Ok(handle) => match handle.wait() {
-                        Err(e) => Response::error(e),
-                        Ok(mut job) => {
-                            span.absorb_job(
-                                job.queue_wait,
-                                job.execute,
-                                job.cache_hits,
-                                job.cache_misses,
-                            );
-                            span.points = 1;
-                            Response::Eval {
-                                point,
-                                outcome: job.outcomes.remove(0),
-                            }
-                        }
-                    },
-                }
-            };
-            timed_flush(shared, span);
-            RequestOutcome::reply(response, false)
-        }
-        Request::EvalBatch(points) => {
-            // The coordinator's scatter-gather primitive: one job, one
-            // outcome per point, in order. An empty batch short-circuits
-            // (the engine has nothing to schedule).
-            let total = points.len();
-            let response = if total == 0 {
-                Response::EvalBatch {
-                    outcomes: Vec::new(),
-                    cache_hits: 0,
-                    cache_misses: 0,
-                }
-            } else {
-                match shared.scheduler.submit_traced(points, span.trace_ref()) {
-                    Err(e) => submit_error_response(e),
-                    Ok(handle) => match handle.wait() {
-                        Err(e) => Response::error(e),
-                        Ok(job) => {
-                            span.absorb_job(
-                                job.queue_wait,
-                                job.execute,
-                                job.cache_hits,
-                                job.cache_misses,
-                            );
-                            span.points = total as u64;
-                            Response::EvalBatch {
-                                outcomes: job.outcomes,
-                                cache_hits: job.cache_hits,
-                                cache_misses: job.cache_misses,
-                            }
-                        }
-                    },
-                }
-            };
-            timed_flush(shared, span);
-            RequestOutcome::reply(response, false)
-        }
-        Request::Sweep(spec) => {
-            if let Err(e) = spec.validate() {
-                return RequestOutcome::reply(Response::error(e), false);
-            }
-            // Partitioned sweeps (`spec.part` set by a cluster
-            // coordinator) walk the same full grid but keep only the
-            // owned points; indices stay *global*, so per-shard
-            // frontiers merge into exactly the single-daemon indices.
-            let indexed = spec.indexed_points();
-            let points: Vec<_> = indexed.iter().map(|(_, p)| p.clone()).collect();
-            let total = points.len();
-            let start = Instant::now();
-            let response = match shared.scheduler.submit_traced(points, span.trace_ref()) {
-                Err(e) => submit_error_response(e),
-                Ok(handle) => match handle.wait() {
-                    Err(e) => Response::error(e),
-                    Ok(job) => {
-                        span.absorb_job(
-                            job.queue_wait,
-                            job.execute,
-                            job.cache_hits,
-                            job.cache_misses,
-                        );
-                        span.points = total as u64;
-                        let objectives: Vec<(usize, pareto::Objectives)> = job
-                            .outcomes
-                            .iter()
-                            .zip(&indexed)
-                            .filter_map(|(o, (gi, _))| {
-                                Some((*gi, pareto::Objectives::from(o.result()?)))
-                            })
-                            .collect();
-                        let frontier_3d = pareto::frontier_3d(&objectives);
-                        let frontier_sqnr = pareto::frontier_accuracy(&objectives);
-                        // A partitioned reply carries its frontier
-                        // *candidates* (index + objectives of every
-                        // point on either frontier) so the coordinator
-                        // can re-filter the merged set without
-                        // re-evaluating anything.
-                        let candidates = if spec.part.is_some() {
-                            let mut keep: Vec<usize> =
-                                frontier_3d.iter().chain(&frontier_sqnr).copied().collect();
-                            keep.sort_unstable();
-                            keep.dedup();
-                            objectives
-                                .iter()
-                                .filter(|(i, _)| keep.binary_search(i).is_ok())
-                                .copied()
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        Response::Sweep(SweepSummary {
-                            points: total,
-                            feasible: objectives.len(),
-                            // Per-job counters from the scheduler:
-                            // global cache deltas would also count the
-                            // other clients' concurrent traffic.
-                            cache_hits: job.cache_hits,
-                            cache_misses: job.cache_misses,
-                            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                            frontier_3d,
-                            frontier_sqnr,
-                            candidates,
-                            degraded: false,
-                        })
-                    }
-                },
-            };
-            timed_flush(shared, span);
-            RequestOutcome::reply(response, false)
-        }
-        Request::Tune(request) => {
-            // A tune is one unit of admission however many rounds it
-            // runs; its rounds are ordinary jobs in the fair rotation,
-            // so concurrent sweeps interleave with every round.
-            let response = match shared.scheduler.admit() {
-                Err(e) => submit_error_response(e),
-                Ok(slot) => {
-                    let mut evaluator =
-                        SchedulerEvaluator::new(&shared.scheduler, &slot, span.trace_ref());
-                    let result = tune(&request, &mut evaluator);
-                    evaluator.fold_into(span);
-                    match result {
-                        Err(e) => Response::error(e),
-                        Ok(report) => {
-                            span.points = report.evaluations;
-                            Response::Tune(TuneSummary {
-                                best: report.best,
-                                evaluations: report.evaluations,
-                                cache_hits: report.cache_hits,
-                                cache_misses: report.cache_misses,
-                                rounds: report.rounds,
-                                exhaustive_points: report.exhaustive_points,
-                                degraded: false,
-                            })
-                        }
-                    }
-                }
-            };
-            timed_flush(shared, span);
-            RequestOutcome::reply(response, false)
-        }
-        Request::TuneFrontier(request) => {
-            // One admission slot for the WHOLE budget sweep, exactly as
-            // a plain tune holds one slot across its rounds: the sweep
-            // is one unit of admission however many steps it runs, and
-            // every step's rounds interleave with concurrent jobs.
-            let outcome = match shared.scheduler.admit() {
-                Err(e) => RequestOutcome::reply(submit_error_response(e), false),
-                Ok(slot) => {
-                    let mut evaluator =
-                        SchedulerEvaluator::new(&shared.scheduler, &slot, span.trace_ref());
-                    let steps = request.sweep.values.len();
-                    let mut sink = LineSink::with_id(writer, span.req_id);
-                    let mut sink_dead = false;
-                    let result = frontier::tune_frontier(&request, &mut evaluator, |i, step| {
-                        let line = Response::TuneFrontierStep(FrontierStepSummary {
-                            step: i,
-                            steps,
-                            result: step.clone(),
-                        });
-                        sink.send(&line).map_err(|_| {
-                            sink_dead = true;
-                            TuneError::Backend("client closed the stream".to_owned())
-                        })
-                    });
-                    evaluator.fold_into(span);
-                    match result {
-                        Ok(report) => {
-                            span.points = report.evaluations;
-                            let done = Response::TuneFrontierDone(FrontierDoneSummary {
-                                steps: report.steps.len(),
-                                frontier: report.frontier,
-                                evaluations: report.evaluations,
-                                standalone_evaluations: report.standalone_evaluations,
-                                cache_hits: report.cache_hits,
-                                cache_misses: report.cache_misses,
-                                exhaustive_points: report.exhaustive_points,
-                            });
-                            sink_dead = sink_dead || sink.send(&done).is_err();
-                            RequestOutcome::Streamed { sink_dead }
-                        }
-                        // A pre-stream spec error is an ordinary error
-                        // reply; a mid-stream failure terminates the
-                        // stream with one error line (the framing rule
-                        // allows it in place of `done`).
-                        Err(e) if !sink_dead => {
-                            let error = Response::error(e);
-                            let sink_dead = sink.send(&error).is_err();
-                            RequestOutcome::Streamed { sink_dead }
-                        }
-                        Err(_) => RequestOutcome::Streamed { sink_dead: true },
-                    }
-                }
-            };
-            timed_flush(shared, span);
-            outcome
-        }
+    // Requests that may evaluate something flush the fresh evaluations
+    // to the cache file before replying.
+    let evaluates = matches!(
+        request,
+        Request::Eval(_)
+            | Request::EvalBatch(_)
+            | Request::Sweep(_)
+            | Request::Tune(_)
+            | Request::TuneFrontier(_)
+    );
+    let reply = |response| RequestOutcome::reply(response, false);
+    let outcome = match request {
+        Request::Eval(point) => reply(session.eval(point, span)),
+        Request::EvalBatch(points) => reply(eval_batch(session, points, span)),
+        Request::Sweep(spec) => reply(match spec.validate() {
+            Err(e) => Response::error(e),
+            Ok(()) => session.sweep(&spec, span),
+        }),
+        Request::Tune(request) => reply(tune(shared, session, &request, span)),
+        Request::TuneFrontier(request) => tune_frontier(shared, session, &request, writer, span),
         Request::Frontier { dims, sqnr, stream } => {
-            let feasible: Vec<FrontierEntry> = shared
-                .cache
-                .entries()
-                .into_iter()
-                .filter_map(|(point, outcome)| {
-                    let result = *outcome.result()?;
-                    Some(FrontierEntry { point, result })
-                })
-                .collect();
-            let objectives: Vec<(usize, pareto::Objectives)> = feasible
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (i, pareto::Objectives::from(&e.result)))
-                .collect();
-            let keep = if dims == 2 {
-                pareto::frontier_2d(&objectives)
-            } else if sqnr {
-                pareto::frontier_accuracy(&objectives)
-            } else {
-                pareto::frontier_3d(&objectives)
-            };
-            if stream {
-                // The streaming variant: one entry per line through the
-                // shared sink, then the terminal line. For very large
-                // caches the client starts consuming the frontier while
-                // the daemon is still writing it.
-                let mut sink = LineSink::with_id(writer, span.req_id);
-                let total = keep.len();
-                for i in keep {
-                    let line = Response::FrontierStreamEntry {
-                        entry: feasible[i].clone(),
-                    };
-                    if sink.send(&line).is_err() {
-                        return RequestOutcome::Streamed { sink_dead: true };
-                    }
-                }
-                let done = Response::FrontierStreamDone {
-                    dims,
-                    entries: total,
-                    degraded: false,
-                };
-                return RequestOutcome::Streamed {
-                    sink_dead: sink.send(&done).is_err(),
-                };
-            }
-            let entries = keep.into_iter().map(|i| feasible[i].clone()).collect();
-            RequestOutcome::reply(
-                Response::Frontier {
-                    dims,
-                    entries,
-                    degraded: false,
-                },
-                false,
-            )
+            frontier(session, dims, sqnr, stream, writer, span.req_id)
         }
-        Request::Stats => {
-            // A scrape-adjacent path: refresh the gauges here too, so a
-            // registry snapshot taken right after a `stats` reply agrees
-            // with it even under a long sampler interval.
-            shared.refresh_gauges();
-            let stats = shared.cache.stats();
-            RequestOutcome::reply(
-                Response::Stats(ServerStats {
-                    cached_points: shared.cache.len(),
-                    hits: stats.hits,
-                    misses: stats.misses,
-                    hit_rate: stats.hit_rate(),
-                    requests: shared.requests.load(Ordering::Relaxed),
-                    active_jobs: shared.scheduler.active_jobs(),
-                    queue_capacity: shared.scheduler.capacity(),
-                    open_connections: shared.connections.load(Ordering::SeqCst),
-                    max_connections: shared.max_connections,
-                    threads: shared.threads,
-                    loaded_from_disk: shared.loaded_from_disk,
-                    persistent: shared.cache_file.is_some(),
-                    uptime_s: shared.registry.uptime().as_secs_f64(),
-                    // Includes this stats request itself — the session
-                    // loop holds the in-flight gauge across the handler.
-                    inflight_requests: shared.metrics.inflight.get().max(0.0) as usize,
-                    queue_depth: shared.scheduler.queue_depth(),
-                    slos: shared.slo.lock().expect("slo lock poisoned").len(),
-                    slo_breach_ticks: shared.slo_breach_ticks.load(Ordering::Relaxed),
-                    shards: Vec::new(),
-                }),
-                false,
-            )
-        }
+        Request::Stats => reply(stats(shared, session)),
         Request::Metrics => {
             // Scrape-time gauges: refreshed here as well as on sampler
             // ticks, so a scrape never reads values as stale as the
@@ -1252,83 +910,306 @@ fn handle_request(
                 .registry
                 .snapshot()
                 .merge(chain_nn_obs::global().snapshot());
-            RequestOutcome::reply(Response::Metrics { snapshot }, false)
+            reply(Response::Metrics { snapshot })
         }
         Request::MetricsHistory => {
             let history = shared.history.lock().expect("history lock poisoned");
-            RequestOutcome::reply(
-                Response::MetricsHistory(Box::new(build_history(&history))),
-                false,
-            )
+            reply(Response::MetricsHistory(Box::new(build_history(&history))))
         }
-        Request::Watch { samples } => {
-            // The second streaming request category: instead of N
-            // precomputed result lines, one line per *sampler tick*,
-            // pushed as the tick lands. No admission slot — a watcher
-            // only reads the history ring, and a dashboard must not
-            // occupy capacity a sweep could use.
-            let mut sink = LineSink::with_id(writer, span.req_id);
-            let mut last_seq = shared.history.lock().expect("history lock poisoned").seq();
-            let mut sent: u64 = 0;
-            while (samples == 0 || sent < samples) && !shared.shutdown.load(Ordering::SeqCst) {
-                let next = {
-                    let history = shared.history.lock().expect("history lock poisoned");
-                    if history.seq() > last_seq {
-                        last_seq = history.seq();
-                        Some(build_watch_sample(&history, shared))
-                    } else {
-                        None
-                    }
-                };
-                match next {
-                    Some(sample) => {
-                        if sink.send(&Response::WatchSample(Box::new(sample))).is_err() {
-                            return RequestOutcome::Streamed { sink_dead: true };
-                        }
-                        sent += 1;
-                        span.points = sent;
-                    }
-                    None => std::thread::sleep(Duration::from_millis(2)),
-                }
-            }
-            let done = Response::WatchDone { samples: sent };
-            RequestOutcome::Streamed {
-                sink_dead: sink.send(&done).is_err(),
-            }
-        }
+        Request::Watch { samples } => watch(shared, samples, writer, span),
         Request::TraceQuery { id } => {
             let spans = obs_trace::spans();
-            RequestOutcome::reply(
-                Response::Trace {
-                    id,
-                    dropped: spans.dropped(),
-                    spans: spans.for_trace(id),
-                },
-                false,
-            )
+            reply(Response::Trace {
+                id,
+                dropped: spans.dropped(),
+                spans: spans.for_trace(id),
+            })
         }
-        Request::Dump => {
-            let response = match &shared.flight_path {
-                None => {
-                    Response::error("flight recorder disabled: start the daemon with --trace-log")
-                }
-                Some(path) => match write_flight_file(path, shared) {
-                    Err(e) => Response::error(format!("flight dump failed: {e}")),
-                    Ok(spans) => Response::Dump {
-                        path: path.display().to_string(),
-                        spans,
-                        dropped: obs_trace::spans().dropped(),
-                    },
-                },
-            };
-            RequestOutcome::reply(response, false)
-        }
+        Request::Dump => reply(dump(shared)),
         Request::Shutdown => {
             // Close admission *before* acknowledging, so nothing new
             // slips in between the reply and the accept loop noticing.
-            shared.scheduler.begin_shutdown();
+            shared.backend.begin_shutdown();
+            session.shutdown();
             RequestOutcome::reply(Response::Shutdown, true)
         }
+    };
+    if evaluates {
+        timed_flush(shared, span);
+    }
+    outcome
+}
+
+/// `eval_batch`: one outcome per point, in order — the coordinator's
+/// scatter-gather primitive. An empty batch short-circuits (there is
+/// nothing to schedule).
+fn eval_batch(
+    session: &mut dyn Session,
+    points: Vec<DesignPoint>,
+    span: &mut RequestSpan,
+) -> Response {
+    let total = points.len() as u64;
+    let batch = if total == 0 {
+        Evaluated::default()
+    } else {
+        match session.eval_points(points, None, span) {
+            Ok(batch) => batch,
+            Err(failure) => return failure.into(),
+        }
+    };
+    span.points = total;
+    Response::EvalBatch {
+        outcomes: batch.outcomes,
+        cache_hits: batch.hits,
+        cache_misses: batch.misses,
+    }
+}
+
+/// The tuner's view of a backend for one `tune` or `tune_frontier`:
+/// one admission slot held until the evaluator drops, however many
+/// rounds run, and each round's expanded point list one
+/// [`Session::eval_points`] inside it, recorded as a `tune_round` span
+/// under the request's root. Sets `degraded` when any round lost a
+/// shard.
+fn rounds<'a>(
+    shared: &'a Shared,
+    session: &'a mut dyn Session,
+    span: &'a mut RequestSpan,
+    degraded: &'a mut bool,
+) -> Result<impl MixEvaluator + 'a, Failure> {
+    let slot = shared.backend.admit().map_err(Failure::Refused)?;
+    Ok(BatchFnEvaluator::new(move |points: &[DesignPoint]| {
+        let round_started = Instant::now();
+        let batch = session.eval_points(points.to_vec(), slot.as_ref(), span)?;
+        *degraded |= batch.degraded;
+        if let Some(t) = span.trace_ref() {
+            obs_trace::spans().record(&obs_trace::Span {
+                trace_id: t.trace_id,
+                span_id: obs_trace::next_span_id(),
+                parent_id: t.parent_span,
+                name: "tune_round",
+                start: round_started,
+                dur: round_started.elapsed(),
+                worker: None,
+                points: points.len().min(u32::MAX as usize) as u32,
+            });
+        }
+        Ok((batch.outcomes, batch.hits, batch.misses))
+    }))
+}
+
+/// `tune`: one unit of admission however many rounds it runs; its
+/// rounds are ordinary jobs in the fair rotation, so concurrent sweeps
+/// interleave with every round.
+fn tune(
+    shared: &Shared,
+    session: &mut dyn Session,
+    request: &TuneRequest,
+    span: &mut RequestSpan,
+) -> Response {
+    let mut degraded = false;
+    let result = match rounds(shared, session, span, &mut degraded) {
+        Err(failure) => return failure.into(),
+        Ok(mut evaluator) => chain_nn_tuner::tune(request, &mut evaluator),
+    };
+    match result {
+        Err(e) => Response::error(e),
+        Ok(report) => {
+            span.points = report.evaluations;
+            Response::Tune(TuneSummary {
+                best: report.best,
+                evaluations: report.evaluations,
+                cache_hits: report.cache_hits,
+                cache_misses: report.cache_misses,
+                rounds: report.rounds,
+                exhaustive_points: report.exhaustive_points,
+                degraded,
+            })
+        }
+    }
+}
+
+/// `tune_frontier`: one admission slot for the WHOLE budget sweep,
+/// exactly as a plain tune holds one slot across its rounds, with each
+/// step's result streamed as it lands.
+fn tune_frontier(
+    shared: &Shared,
+    session: &mut dyn Session,
+    request: &FrontierTuneRequest,
+    writer: &mut dyn Write,
+    span: &mut RequestSpan,
+) -> RequestOutcome {
+    let steps = request.sweep.values.len();
+    let mut sink = LineSink::with_id(writer, span.req_id);
+    let mut sink_dead = false;
+    let result = match rounds(shared, session, span, &mut false) {
+        Err(failure) => return RequestOutcome::reply(failure.into(), false),
+        Ok(mut evaluator) => frontier::tune_frontier(request, &mut evaluator, |i, step| {
+            let line = Response::TuneFrontierStep(FrontierStepSummary {
+                step: i,
+                steps,
+                result: step.clone(),
+            });
+            sink.send(&line).map_err(|_| {
+                sink_dead = true;
+                TuneError::Backend("client closed the stream".to_owned())
+            })
+        }),
+    };
+    match result {
+        Ok(report) => {
+            span.points = report.evaluations;
+            let done = Response::TuneFrontierDone(FrontierDoneSummary {
+                steps: report.steps.len(),
+                frontier: report.frontier,
+                evaluations: report.evaluations,
+                standalone_evaluations: report.standalone_evaluations,
+                cache_hits: report.cache_hits,
+                cache_misses: report.cache_misses,
+                exhaustive_points: report.exhaustive_points,
+            });
+            sink_dead = sink_dead || sink.send(&done).is_err();
+            RequestOutcome::Streamed { sink_dead }
+        }
+        // A pre-stream spec error is an ordinary error reply; a
+        // mid-stream failure terminates the stream with one error line
+        // (the framing rule allows it in place of `done`).
+        Err(e) if !sink_dead => RequestOutcome::Streamed {
+            sink_dead: sink.send(&Response::error(e)).is_err(),
+        },
+        Err(_) => RequestOutcome::Streamed { sink_dead: true },
+    }
+}
+
+/// `frontier`: the Pareto frontier of the backend's candidate entries,
+/// as one reply or (`stream`) one entry per line then the terminal
+/// line, so a client starts consuming a very large frontier while it
+/// is still being written.
+fn frontier(
+    session: &mut dyn Session,
+    dims: u8,
+    sqnr: bool,
+    stream: bool,
+    writer: &mut dyn Write,
+    req_id: Option<u64>,
+) -> RequestOutcome {
+    let (entries, degraded) = session.frontier_entries(dims, sqnr);
+    let objectives: Vec<(usize, pareto::Objectives)> = entries
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (i, pareto::Objectives::from(&e.result)))
+        .collect();
+    let keep = if dims == 2 {
+        pareto::frontier_2d(&objectives)
+    } else if sqnr {
+        pareto::frontier_accuracy(&objectives)
+    } else {
+        pareto::frontier_3d(&objectives)
+    };
+    if stream {
+        let mut sink = LineSink::with_id(writer, req_id);
+        for &i in &keep {
+            let line = Response::FrontierStreamEntry {
+                entry: entries[i].clone(),
+            };
+            if sink.send(&line).is_err() {
+                return RequestOutcome::Streamed { sink_dead: true };
+            }
+        }
+        let done = Response::FrontierStreamDone {
+            dims,
+            entries: keep.len(),
+            degraded,
+        };
+        return RequestOutcome::Streamed {
+            sink_dead: sink.send(&done).is_err(),
+        };
+    }
+    let entries = keep.into_iter().map(|i| entries[i].clone()).collect();
+    RequestOutcome::reply(
+        Response::Frontier {
+            dims,
+            entries,
+            degraded,
+        },
+        false,
+    )
+}
+
+/// `stats`: the session layer's counters, then the backend's half.
+fn stats(shared: &Shared, session: &mut dyn Session) -> Response {
+    // A scrape-adjacent path: refresh the gauges here too, so a
+    // registry snapshot taken right after a `stats` reply agrees with
+    // it even under a long sampler interval.
+    shared.refresh_gauges();
+    let mut stats = ServerStats {
+        requests: shared.requests.load(Ordering::Relaxed),
+        open_connections: shared.connections.load(Ordering::SeqCst),
+        max_connections: shared.max_connections,
+        uptime_s: shared.registry.uptime().as_secs_f64(),
+        // Includes this stats request itself — the session loop holds
+        // the in-flight gauge across the handler.
+        inflight_requests: shared.metrics.inflight.get().max(0.0) as usize,
+        slos: shared.slo.lock().expect("slo lock poisoned").len(),
+        slo_breach_ticks: shared.slo_breach_ticks.load(Ordering::Relaxed),
+        ..shared.backend.counters()
+    };
+    session.stats(&mut stats);
+    Response::Stats(stats)
+}
+
+/// `watch`: the second streaming request category — instead of N
+/// precomputed result lines, one line per *sampler tick*, pushed as the
+/// tick lands. No admission slot: a watcher only reads the history
+/// ring, and a dashboard must not occupy capacity a sweep could use.
+fn watch(
+    shared: &Shared,
+    samples: u64,
+    writer: &mut dyn Write,
+    span: &mut RequestSpan,
+) -> RequestOutcome {
+    let mut sink = LineSink::with_id(writer, span.req_id);
+    let mut last_seq = shared.history.lock().expect("history lock poisoned").seq();
+    let mut sent: u64 = 0;
+    while (samples == 0 || sent < samples) && !shared.shutdown.load(Ordering::SeqCst) {
+        let next = {
+            let history = shared.history.lock().expect("history lock poisoned");
+            if history.seq() > last_seq {
+                last_seq = history.seq();
+                Some(build_watch_sample(&history, shared))
+            } else {
+                None
+            }
+        };
+        match next {
+            Some(sample) => {
+                if sink.send(&Response::WatchSample(Box::new(sample))).is_err() {
+                    return RequestOutcome::Streamed { sink_dead: true };
+                }
+                sent += 1;
+                span.points = sent;
+            }
+            None => std::thread::sleep(Duration::from_millis(2)),
+        }
+    }
+    let done = Response::WatchDone { samples: sent };
+    RequestOutcome::Streamed {
+        sink_dead: sink.send(&done).is_err(),
+    }
+}
+
+/// `dump`: writes the flight file now, when `--trace-log` armed it.
+fn dump(shared: &Shared) -> Response {
+    match &shared.flight_path {
+        None => Response::error("flight recorder disabled: start the daemon with --trace-log"),
+        Some(path) => match write_flight_file(path, shared) {
+            Err(e) => Response::error(format!("flight dump failed: {e}")),
+            Ok(spans) => Response::Dump {
+                path: path.display().to_string(),
+                spans,
+                dropped: obs_trace::spans().dropped(),
+            },
+        },
     }
 }
 
@@ -1386,6 +1267,7 @@ fn build_history(history: &TimeSeries) -> MetricsHistory {
 /// cache hit rate) read live at sample-build time.
 fn build_watch_sample(history: &TimeSeries, shared: &Shared) -> WatchSample {
     let window = history.window(Duration::from_secs(1));
+    let load = shared.backend.counters();
     WatchSample {
         seq: history.seq(),
         interval_s: history.interval().as_secs_f64(),
@@ -1393,9 +1275,9 @@ fn build_watch_sample(history: &TimeSeries, shared: &Shared) -> WatchSample {
         req_per_sec: window.family_rate("serve_requests_total"),
         points_per_sec: window.rate("sched_points_total", &[]),
         inflight: shared.metrics.inflight.get().max(0.0) as u64,
-        active_jobs: shared.scheduler.active_jobs() as u64,
-        queue_depth: shared.scheduler.queue_depth() as u64,
-        cache_hit_rate: shared.cache.stats().hit_rate(),
+        active_jobs: load.active_jobs as u64,
+        queue_depth: load.queue_depth as u64,
+        cache_hit_rate: load.hit_rate,
         requests_total: shared.requests.load(Ordering::Relaxed),
         queue_wait_p99_us: window
             .histogram_family("serve_queue_wait_ns")
@@ -1403,13 +1285,6 @@ fn build_watch_sample(history: &TimeSeries, shared: &Shared) -> WatchSample {
             / 1e3,
         execute_p99_us: window.histogram_family("serve_execute_ns").quantile(0.99) / 1e3,
         types: type_windows(&window),
-    }
-}
-
-fn submit_error_response(e: SubmitError) -> Response {
-    match e {
-        SubmitError::Busy { active, capacity } => Response::Busy { active, capacity },
-        SubmitError::ShuttingDown => Response::error("server is shutting down"),
     }
 }
 
@@ -1476,7 +1351,7 @@ wire_struct! { FlightFile as _f { "dropped": dropped, "spans": spans, "metrics":
 
 /// Writes the flight file (one JSON line, see [`FlightFile`]). Returns
 /// the span count written.
-fn write_flight_file(path: &Path, shared: &Arc<Shared>) -> std::io::Result<usize> {
+fn write_flight_file(path: &Path, shared: &Shared) -> std::io::Result<usize> {
     let ring = obs_trace::spans();
     let mut records = ring.snapshot();
     records.sort_by_key(|s| (s.start_us, s.span_id));
@@ -1501,101 +1376,6 @@ fn write_flight_file(path: &Path, shared: &Arc<Shared>) -> std::io::Result<usize
     line.push('\n');
     File::create(path)?.write_all(line.as_bytes())?;
     Ok(count)
-}
-
-/// The daemon-side tuner evaluator: each round becomes one scheduler
-/// job inside the tune's admission slot, so candidate evaluations share
-/// the cache with (and interleave fairly against) every concurrent
-/// sweep. Hit/miss accounting uses the per-job counters — global cache
-/// deltas would count other clients' traffic.
-struct SchedulerEvaluator<'a> {
-    scheduler: &'a Scheduler,
-    slot: &'a AdmissionSlot<'a>,
-    /// The owning request's trace: each round records a `tune_round`
-    /// span under the request's root, and the ref rides on the round's
-    /// scheduler job so worker batch spans attach to the same trace.
-    trace: Option<TraceRef>,
-    hits: u64,
-    misses: u64,
-    /// Queue wait summed over this request's rounds (each round is one
-    /// scheduler job, so a tune's span reports how long its rounds
-    /// collectively sat behind other traffic).
-    queue_wait: Duration,
-    /// Execute time summed over this request's rounds.
-    execute: Duration,
-    /// Rounds run (scheduler jobs submitted and waited on).
-    jobs: u64,
-}
-
-impl<'a> SchedulerEvaluator<'a> {
-    fn new(scheduler: &'a Scheduler, slot: &'a AdmissionSlot<'a>, trace: Option<TraceRef>) -> Self {
-        SchedulerEvaluator {
-            scheduler,
-            slot,
-            trace,
-            hits: 0,
-            misses: 0,
-            queue_wait: Duration::ZERO,
-            execute: Duration::ZERO,
-            jobs: 0,
-        }
-    }
-
-    /// Copies the accumulated per-round timings and cache counters
-    /// into the request's span once the tune/sweep is over.
-    fn fold_into(&self, span: &mut RequestSpan) {
-        span.queue_wait += self.queue_wait;
-        span.execute += self.execute;
-        span.cache_hits += self.hits;
-        span.cache_misses += self.misses;
-        span.jobs += self.jobs;
-    }
-}
-
-impl MixEvaluator for SchedulerEvaluator<'_> {
-    fn evaluate(
-        &mut self,
-        mix: &WorkloadMix,
-        bases: &[DesignPoint],
-    ) -> Result<Vec<MixOutcome>, TuneError> {
-        let round_started = Instant::now();
-        let points = evaluator::expand(mix, bases);
-        let round_points = points.len();
-        let handle = self
-            .scheduler
-            .submit_in_traced(self.slot, points, self.trace)
-            .map_err(|e| match e {
-                SubmitError::Busy { .. } => {
-                    TuneError::Backend("scheduler refused an admitted round".to_owned())
-                }
-                SubmitError::ShuttingDown => {
-                    TuneError::Backend("server is shutting down".to_owned())
-                }
-            })?;
-        let job = handle.wait().map_err(TuneError::Eval)?;
-        self.hits += job.cache_hits;
-        self.misses += job.cache_misses;
-        self.queue_wait += job.queue_wait;
-        self.execute += job.execute;
-        self.jobs += 1;
-        if let Some(t) = self.trace {
-            obs_trace::spans().record(&obs_trace::Span {
-                trace_id: t.trace_id,
-                span_id: obs_trace::next_span_id(),
-                parent_id: t.parent_span,
-                name: "tune_round",
-                start: round_started,
-                dur: round_started.elapsed(),
-                worker: None,
-                points: round_points.min(u32::MAX as usize) as u32,
-            });
-        }
-        Ok(evaluator::collapse(mix, bases, &job.outcomes))
-    }
-
-    fn counters(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -1634,7 +1414,7 @@ mod tests {
 
         fn flush(&mut self) -> std::io::Result<()> {
             self.active_at_flush
-                .push(self.shared.scheduler.active_jobs());
+                .push(self.shared.backend.counters().active_jobs);
             while let Some(pos) = self.buffer.iter().position(|&b| b == b'\n') {
                 let line: Vec<u8> = self.buffer.drain(..=pos).collect();
                 self.lines.push(
@@ -1655,17 +1435,24 @@ mod tests {
         struct Shutdown<'a>(&'a Shared);
         impl Drop for Shutdown<'_> {
             fn drop(&mut self) {
-                self.0.scheduler.begin_shutdown();
+                self.0.backend.begin_shutdown();
             }
         }
         std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let s = Arc::clone(shared);
-                scope.spawn(move || s.scheduler.worker_loop());
-            }
+            shared.backend.run_workers(scope);
             let _shutdown = Shutdown(shared);
             body()
         })
+    }
+
+    /// [`handle_request`] on a fresh session of `shared`'s backend.
+    fn handle(
+        line: &str,
+        shared: &Shared,
+        writer: &mut dyn Write,
+        span: &mut RequestSpan,
+    ) -> RequestOutcome {
+        handle_request(line, shared, &mut *shared.backend.session(), writer, span)
     }
 
     /// Drives one request line through the same span + record path the
@@ -1673,7 +1460,7 @@ mod tests {
     fn handle_instrumented(line: &str, shared: &Arc<Shared>) -> RequestOutcome {
         let received = Instant::now();
         let mut span = RequestSpan::new(shared.next_request_id.fetch_add(1, Ordering::Relaxed));
-        let outcome = handle_request(line, shared, &mut Probe::new(shared), &mut span);
+        let outcome = handle(line, shared, &mut Probe::new(shared), &mut span);
         let status = match &outcome {
             RequestOutcome::Reply(response, _) => match **response {
                 Response::Error { .. } => "error",
@@ -1748,7 +1535,7 @@ mod tests {
         assert!(snapshot.gauge("serve_uptime_seconds", &[]).expect("uptime") > 0.0);
         assert_eq!(
             snapshot.gauge("cache_points", &[]),
-            Some(shared.cache.len() as f64)
+            Some(shared.backend.counters().cached_points as f64)
         );
         // Two daemons must not share request counters: a fresh one
         // starts at zero even in this same process.
@@ -1808,7 +1595,7 @@ mod tests {
         let probe = with_workers(&shared, || {
             let mut probe = Probe::new(&shared);
             let request = r#"{"type":"tune_frontier","sweep":{"axis":"max_system_mw","values":[450,500,550,600]}}"#;
-            let outcome = handle_request(request, &shared, &mut probe, &mut RequestSpan::new(0));
+            let outcome = handle(request, &shared, &mut probe, &mut RequestSpan::new(0));
             assert!(matches!(
                 outcome,
                 RequestOutcome::Streamed { sink_dead: false }
@@ -1838,7 +1625,7 @@ mod tests {
             }
             other => panic!("expected the done line, got {other:?}"),
         }
-        assert_eq!(shared.scheduler.active_jobs(), 0, "slot released");
+        assert_eq!(shared.backend.counters().active_jobs, 0, "slot released");
     }
 
     #[test]
@@ -1854,11 +1641,11 @@ mod tests {
             let mut warmup = Probe::new(&shared);
             let sweep = r#"{"type":"sweep","spec":{"pes":[144,288,576],"nets":"lenet"}}"#;
             assert!(matches!(
-                handle_request(sweep, &shared, &mut warmup, &mut RequestSpan::new(0)),
+                handle(sweep, &shared, &mut warmup, &mut RequestSpan::new(0)),
                 RequestOutcome::Reply(r, false) if matches!(*r, Response::Sweep(_))
             ));
             // Aggregate and streamed variants must agree entry for entry.
-            let aggregate = match handle_request(
+            let aggregate = match handle(
                 r#"{"type":"frontier","dims":3}"#,
                 &shared,
                 &mut Probe::new(&shared),
@@ -1871,7 +1658,7 @@ mod tests {
                 _ => panic!("expected a frontier reply"),
             };
             let mut probe = Probe::new(&shared);
-            let outcome = handle_request(
+            let outcome = handle(
                 r#"{"type":"frontier","dims":3,"stream":true}"#,
                 &shared,
                 &mut probe,
@@ -1919,11 +1706,11 @@ mod tests {
             // A held admission slot stands in for a sweep mid-flight:
             // the watcher's lines must flush while it is live, proving
             // watch reports on work still in progress.
-            let slot = shared.scheduler.admit().expect("admission slot");
+            let slot = shared.backend.admit().expect("admission slot");
             let probe = std::thread::scope(|s| {
                 let watcher = s.spawn(|| {
                     let mut probe = Probe::new(&shared);
-                    let outcome = handle_request(
+                    let outcome = handle(
                         r#"{"type":"watch","samples":2}"#,
                         &shared,
                         &mut probe,
