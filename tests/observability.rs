@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use chain_nn_repro::dse::{DesignPoint, SweepSpec};
 use chain_nn_repro::obs::trace::{SpanRecord, TraceContext};
+use chain_nn_repro::serve::cluster::{ClusterConfig, Coordinator};
 use chain_nn_repro::serve::protocol::Response;
 use chain_nn_repro::serve::{Client, Server, ServerConfig, ServerReport};
 
@@ -693,4 +694,125 @@ fn dump_request_and_panic_hook_write_the_flight_file() {
     let _ = client.shutdown();
     daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A coordinator explains itself like a daemon: its `metrics` count the
+/// requests it served by type beside its shard ledger, `metrics_history`
+/// and `watch` read its own sampler, `trace_query` returns its request
+/// spans, and `dump` answers as a daemon started without `--trace-log`.
+#[test]
+fn coordinator_reports_its_own_metrics_history_watch_and_traces() {
+    let mut addrs = Vec::new();
+    let mut shards = Vec::new();
+    for _ in 0..2 {
+        let (addr, shard) = start(ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        });
+        addrs.push(addr.to_string());
+        shards.push(shard);
+    }
+    let coordinator = Coordinator::bind(ClusterConfig {
+        shards: addrs.clone(),
+        ..ClusterConfig::default()
+    })
+    .expect("bind coordinator");
+    let addr = coordinator.local_addr().expect("addr");
+    let front = std::thread::spawn(move || coordinator.run().expect("coordinator runs"));
+    let mut client = Client::connect(addr).expect("connect");
+
+    const EVALS: u64 = 3;
+    for i in 0..EVALS {
+        let point = DesignPoint {
+            pes: 600 + i as usize,
+            ..DesignPoint::paper_alexnet()
+        };
+        match client.eval(point).expect("eval round trip") {
+            Response::Eval { .. } => {}
+            other => panic!("expected an eval reply, got {other:?}"),
+        }
+    }
+    for _ in 0..2 {
+        match client.sweep(lenet_grid(vec![25, 50, 100])).expect("sweep") {
+            Response::Sweep(s) => assert_eq!(s.points, 6),
+            other => panic!("expected a sweep reply, got {other:?}"),
+        }
+    }
+
+    let snapshot = metrics_snapshot(&mut client);
+    for (kind, count) in [("eval", EVALS), ("sweep", 2)] {
+        let labels: &[(&str, &str)] = &[("type", kind)];
+        assert_eq!(
+            snapshot.counter("serve_requests_total", labels),
+            Some(count),
+            "{kind}"
+        );
+        let latency = snapshot
+            .histogram("serve_request_ns", labels)
+            .unwrap_or_else(|| panic!("{kind} latency histogram"));
+        assert_eq!(latency.count, count, "{kind}");
+    }
+    for shard in &addrs {
+        let sent = snapshot.counter("cluster_shard_requests_total", &[("shard", shard)]);
+        assert!(sent.is_some_and(|n| n > 0), "{shard}: {sent:?}");
+    }
+
+    match client
+        .metrics_history()
+        .expect("metrics_history round trip")
+    {
+        Response::MetricsHistory(history) => {
+            let windows: Vec<f64> = history.windows.iter().map(|w| w.window_s).collect();
+            assert_eq!(windows, [1.0, 10.0, 60.0]);
+        }
+        other => panic!("expected a history reply, got {other:?}"),
+    }
+
+    let mut seqs = Vec::new();
+    let done = client
+        .watch(2, |sample| seqs.push(sample.seq))
+        .expect("watch stream");
+    assert_eq!(seqs.len(), 2, "{seqs:?}");
+    assert!(seqs[1] > seqs[0], "{seqs:?}");
+    match done {
+        Response::WatchDone { samples } => assert_eq!(samples, 2),
+        other => panic!("expected a watch-done line, got {other:?}"),
+    }
+
+    // The span ring is process-global and bounded, and other tests in
+    // this binary record into it: retry with a fresh id rather than
+    // flake if ours was evicted before the query.
+    let traced = (0..5u64).any(|attempt| {
+        let trace_id = 779_001 + attempt;
+        client.set_trace(Some(TraceContext {
+            id: trace_id,
+            parent: 0,
+        }));
+        assert!(matches!(client.stats(), Ok(Response::Stats(_))));
+        client.set_trace(None);
+        let (_, spans) = query_trace(&mut client, trace_id);
+        spans
+            .iter()
+            .find(|s| s.name == "stats" && s.parent_id == 0)
+            .is_some_and(|root| {
+                spans
+                    .iter()
+                    .any(|s| s.name == "parse" && s.parent_id == root.span_id)
+            })
+    });
+    assert!(traced, "no stats root span with a parse child");
+
+    match client.dump().expect("dump round trip") {
+        Response::Error { message } => assert_eq!(
+            message,
+            "flight recorder disabled: start the daemon with --trace-log"
+        ),
+        other => panic!("expected the flight-recorder error, got {other:?}"),
+    }
+
+    client.shutdown().expect("shutdown");
+    front.join().expect("coordinator thread");
+    for shard in shards {
+        shard.join().expect("shard thread");
+    }
 }
