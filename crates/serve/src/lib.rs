@@ -30,11 +30,20 @@
 //!   Iterative requests (the auto-tuner) hold one admission slot
 //!   across their rounds ([`scheduler::AdmissionSlot`]) while each
 //!   round interleaves with everyone else's sweeps.
-//! * [`server`] — `std::net::TcpListener` accept loop, session threads,
-//!   the worker pool, cache-file replay at startup and append-flush on
-//!   completed requests and shutdown (std-only: the build environment
-//!   has no async runtime, and a worker pool over blocking sockets
-//!   serves this protocol fine).
+//! * [`server`] — the one session layer: `std::net::TcpListener`
+//!   accept loop, connection bound, session threads, request spans and
+//!   metrics, the sampler, and one function per request type (std-only:
+//!   the build environment has no async runtime, and a worker pool over
+//!   blocking sockets serves this protocol fine). Behind it, a backend
+//!   answers what differs between evaluating and fanning out: the local
+//!   one is the scheduler's worker pool over the shared cache, with
+//!   cache-file replay at startup and append-flush on completed
+//!   requests and shutdown.
+//! * [`cluster`] — the cluster coordinator: the same session layer over
+//!   a backend that routes points to shard daemons by content hash,
+//!   fans sweeps, frontiers, batches and tune rounds out, and merges
+//!   the replies byte-identically to one daemon's (degraded partial
+//!   replies when a shard is lost).
 //! * [`client`] — blocking client used by `chain-nn query` and tests.
 //! * [`json`] — the dependency-free JSON lexer the decoder pulls from
 //!   (nesting bounded at [`json::MAX_DEPTH`]), and the [`json::Json`]

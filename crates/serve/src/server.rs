@@ -4,12 +4,12 @@
 //!
 //! Each accepted connection gets a session thread that reads request
 //! lines, decodes them, and writes response lines. What a request is
-//! answered *with* is the [`Backend`]'s business: a [`Server`] from
+//! answered *with* is a backend's business: a [`Server`] from
 //! [`Server::bind`] evaluates on its own scheduler over one shared
-//! [`PointCache`](chain_nn_dse::PointCache) and cache file
-//! ([`crate::backend`]), where batches from all sessions interleave
-//! fairly; a [`crate::cluster::Coordinator`] is the same session layer
-//! over a fan-out to shard daemons.
+//! [`PointCache`](chain_nn_dse::PointCache) and cache file, where
+//! batches from all sessions interleave fairly; a
+//! [`crate::cluster::Coordinator`] is the same session layer over a
+//! fan-out to shard daemons.
 //!
 //! Shutdown is cooperative: a `shutdown` request is acknowledged on its
 //! own connection, admission closes, the workers drain what was already
