@@ -134,9 +134,10 @@ impl MixEvaluator for CacheEvaluator<'_> {
 /// round's expanded point list and returns `(outcomes, hits, misses)`
 /// with outcomes aligned to the points. [`expand`]/[`collapse`] are
 /// handled here, so a backend only has to evaluate a flat point list —
-/// this is how the cluster coordinator's scatter-gather (partition by
-/// content hash, fan out, reassemble in order) plugs the tuner in
-/// without the tuner knowing about shards.
+/// this is how the serving daemon plugs the tuner into either of its
+/// backends (one scheduler job per round, or a scatter-gather across
+/// shards that partitions by content hash and reassembles in order)
+/// without the tuner knowing about either.
 pub struct BatchFnEvaluator<F> {
     eval: F,
     hits: u64,
