@@ -3,13 +3,13 @@
 //! [`crate::server`] owns everything a client session sees: the accept
 //! loop and connection bound, line decoding, request spans and metrics,
 //! the trace log, the sampler, `trace_query`, `dump` and the reply
-//! framing. A [`Backend`] answers only what differs between a daemon
-//! that evaluates points itself and a coordinator that fans them out to
-//! shard daemons: evaluating one point or a point list, a sweep, the
-//! frontier's candidate entries, its half of `stats`, the post-request
-//! flush and shutdown. Two implement it: [`Local`] here (the scheduler
-//! over one shared cache and its cache file) and the shard fan-out in
-//! [`crate::cluster`].
+//! framing. A [`Backend`] and its per-connection [`Session`] answer
+//! only what differs between a daemon that evaluates points itself and
+//! a coordinator that fans them out to shard daemons: evaluating one
+//! point or a point list, a sweep, the frontier's candidate entries,
+//! their half of `stats`, the post-request flush and shutdown. Two
+//! implement them: [`Local`] here (the scheduler over one shared cache
+//! and its cache file) and the shard fan-out in [`crate::cluster`].
 
 use std::io;
 use std::sync::{Arc, Mutex};
