@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod csv;
-pub mod history;
 
 use std::fmt::Write as _;
 
