@@ -27,6 +27,15 @@ use crate::args::{ArgError, Flags};
 
 type CmdResult = Result<String, Box<dyn Error>>;
 
+/// The sweep-axis flags [`sweep_from`] reads.
+const AXES: [&str; 8] = [
+    "pes", "freq", "kmem", "imem-kb", "omem-kb", "bits", "batch", "net",
+];
+
+/// The flags every model command reads: the network and batch, plus
+/// the chain flags [`chain_from`] reads.
+const MODEL: [&str; 5] = ["net", "batch", "pes", "freq", "kmemory"];
+
 /// An optional typed flag (absent is `None`, unparseable is an error).
 fn opt_flag<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, ArgError> {
     match flags.get_str(name) {
@@ -48,6 +57,8 @@ pub fn dispatch(argv: &[String]) -> CmdResult {
     let Some((cmd, rest)) = argv.split_first() else {
         return Ok(help());
     };
+    // Each command names the flags it takes; any other is an error.
+    let flags = |known: &[&str]| Flags::parse(rest, known);
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(help()),
         "tables" => Ok(chain_nn_bench::repro_all()),
@@ -61,17 +72,72 @@ pub fn dispatch(argv: &[String]) -> CmdResult {
         "taxonomy" => Ok(chain_nn_bench::repro_taxonomy()),
         "ablations" => Ok(chain_nn_bench::repro_ablations()),
         "nets" => Ok(nets_cmd()),
-        "dse" => dse_cmd(&Flags::parse(rest)?),
-        "tune" => tune_cmd(&Flags::parse(rest)?),
-        "compact" => compact_cmd(&Flags::parse(rest)?),
-        "serve" => serve_cmd(&Flags::parse(rest)?),
-        "cluster" => cluster_cmd(&Flags::parse(rest)?),
+        "dse" => dse_cmd(&flags(
+            &[
+                &AXES[..],
+                &["threads", "probe", "cache-file", "out", "frontier", "json"],
+            ]
+            .concat(),
+        )?),
+        "tune" => tune_cmd(&flags(
+            &[
+                &AXES[..],
+                &[
+                    "mix",
+                    "max-mw",
+                    "max-gates-k",
+                    "min-fps",
+                    "min-sqnr-db",
+                    "objective",
+                    "strategy",
+                    "seed",
+                    "threads",
+                    "cache-file",
+                    "port",
+                    "host",
+                    "sweep-budget",
+                    "out",
+                    "json",
+                ],
+            ]
+            .concat(),
+        )?),
+        "compact" => compact_cmd(&flags(&["cache-file"])?),
+        // The daemon's flags and the coordinator's together.
+        "serve" => serve_cmd(&flags(&[
+            "port",
+            "host",
+            "threads",
+            "queue",
+            "batch",
+            "claim",
+            "max-connections",
+            "cache-cap",
+            "cache-file",
+            "trace-log",
+            "trace-cap-mb",
+            "slow-log-us",
+            "sample-interval-ms",
+            "slo",
+            "coordinator",
+            "shards",
+        ])?),
+        "cluster" => cluster_cmd(&flags(&[
+            "shards",
+            "threads",
+            "cache-file",
+            "host",
+            "port",
+            "max-connections",
+        ])?),
         "query" => query_cmd(rest),
-        "top" => top_cmd(&Flags::parse(rest)?),
-        "perf" => perf_cmd(&Flags::parse(rest)?),
-        "traffic" => traffic_cmd(&Flags::parse(rest)?),
-        "power" => power_cmd(&Flags::parse(rest)?),
-        "simulate" => simulate_cmd(&Flags::parse(rest)?),
+        "top" => top_cmd(&flags(&["host", "port", "frames"])?),
+        "perf" => perf_cmd(&flags(&[&MODEL[..], &["model"]].concat())?),
+        "traffic" => traffic_cmd(&flags(&MODEL)?),
+        "power" => power_cmd(&flags(&MODEL)?),
+        "simulate" => simulate_cmd(&flags(&[
+            "c", "h", "m", "k", "stride", "pad", "batch", "pes",
+        ])?),
         "trace" => trace_dispatch(rest),
         other => Err(format!("unknown command '{other}'").into()),
     }
@@ -983,7 +1049,7 @@ fn query_cmd(tokens: &[String]) -> CmdResult {
             positionals.push(tok.clone());
         }
     }
-    let flags = Flags::parse(&flag_tokens)?;
+    let flags = Flags::parse(&flag_tokens, &["host", "port"])?;
     let host = flags.get_str("host").unwrap_or("127.0.0.1");
     let port = flags.get_or("port", 7878u16)?;
     let request = positionals.join(" ");
@@ -1294,7 +1360,7 @@ fn simulate_cmd(flags: &Flags) -> CmdResult {
 fn trace_dispatch(tokens: &[String]) -> CmdResult {
     match tokens.first() {
         Some(first) if !first.starts_with("--") => trace_query_cmd(tokens),
-        _ => trace_cmd(&Flags::parse(tokens)?),
+        _ => trace_cmd(&Flags::parse(tokens, &["h", "k", "m", "out"])?),
     }
 }
 
@@ -1311,7 +1377,7 @@ fn trace_query_cmd(tokens: &[String]) -> CmdResult {
     if id == 0 {
         return Err("trace ID 0 is reserved for untraced requests".into());
     }
-    let flags = Flags::parse(rest)?;
+    let flags = Flags::parse(rest, &["host", "port", "chrome"])?;
     let host = flags.get_str("host").unwrap_or("127.0.0.1");
     let port = flags.get_or("port", 7878u16)?;
     let chrome = flags.get_str("chrome").map(ToOwned::to_owned);
@@ -1467,7 +1533,11 @@ mod tests {
         // 0 must reach ServerConfig unchanged (rotation disabled);
         // the no-rotation file behavior itself is covered by the serve
         // crate's TraceLog tests.
-        let flags = Flags::parse(&["--trace-cap-mb".to_owned(), "0".to_owned()]).unwrap();
+        let flags = Flags::parse(
+            &["--trace-cap-mb".to_owned(), "0".to_owned()],
+            &["trace-cap-mb"],
+        )
+        .unwrap();
         assert_eq!(flags.get_or("trace-cap-mb", 64u64).unwrap(), 0);
     }
 
@@ -2023,5 +2093,47 @@ mod tests {
         )
         .expect_err("bad value");
         assert!(err.to_string().contains("lots"));
+    }
+
+    #[test]
+    fn mistyped_flags_are_errors_that_name_them() {
+        for (argv, typo) in [
+            (vec!["dse", "--pes", "576", "--trheads", "8"], "--trheads"),
+            (vec!["perf", "--net", "alexnet", "--bach", "4"], "--bach"),
+            (vec!["query", "--prot", "7878", "stats"], "--prot"),
+            (vec!["trace", "42", "--chrom", "x.json"], "--chrom"),
+            (vec!["trace", "--h", "6", "--kk", "3"], "--kk"),
+        ] {
+            let argv: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
+            let err = dispatch(&argv)
+                .expect_err("a mistyped flag must fail")
+                .to_string();
+            assert!(
+                err.contains(typo),
+                "{argv:?}: error must name {typo}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn serve_refuses_mistyped_flags_before_it_binds() {
+        // The port is taken, so a serve that ignored the typos would
+        // fail to bind instead of naming them.
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let port = taken.local_addr().expect("addr").port().to_string();
+        let argv: Vec<String> = [
+            "serve",
+            "--port",
+            &port,
+            "--thread",
+            "4",
+            "--cache-fil",
+            "x.cache",
+        ]
+        .iter()
+        .map(|s| (*s).to_owned())
+        .collect();
+        let err = dispatch(&argv).expect_err("typo").to_string();
+        assert!(err.contains("--thread"), "error must name --thread: {err}");
     }
 }
