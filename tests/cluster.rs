@@ -4,6 +4,8 @@
 //! every shard count — plus the client-side pipelining contract and the
 //! frontier-merge algebra the coordinator's correctness rests on.
 
+use std::time::{Duration, Instant};
+
 use proptest::prelude::*;
 
 use chain_nn_repro::dse::pareto::{self, Objectives};
@@ -369,11 +371,19 @@ fn cluster_restart_on_per_shard_caches_reserves_with_zero_misses() {
 /// sides time-share, so the ceiling is (work + switch)/work — pipelining
 /// can only reclaim the per-request switch overhead, not overlap the
 /// JSON encode/decode work — and the honest bound is "measurably
-/// faster", not 5x. Run explicitly (CI's cluster-smoke job does) —
-/// debug-build model code would dominate the round trip and measure
-/// compilation mode, not protocol.
+/// faster", not 5x. Run explicitly (`scripts/kick-tires.sh cluster`
+/// does) — debug-build model code would dominate the round trip and
+/// measure compilation mode, not protocol.
+///
+/// One 400-eval pair is ~15 ms of traffic, short enough that one
+/// scheduler hiccup decides it. So the modes alternate in 400-eval
+/// rounds for at least 3 s, flipping which goes first each round, and
+/// the gate is the median per-round ratio: both modes of a round see
+/// the same machine load, and the median drops the rounds where it
+/// shifted. (1 s of rounds still fell below 5x in 3 of 8 runs on a
+/// 2-vCPU guest.)
 #[test]
-#[ignore = "timing-sensitive: run with --release (CI cluster-smoke job)"]
+#[ignore = "timing-sensitive: run with --release (scripts/kick-tires.sh cluster)"]
 fn pipelined_evals_are_5x_single_request_throughput() {
     let (addr, daemon) = start_shard(ServerConfig {
         threads: 1,
@@ -384,39 +394,65 @@ fn pipelined_evals_are_5x_single_request_throughput() {
         net: "lenet".into(),
         ..DesignPoint::paper_alexnet()
     };
-    // Warm the cache so every timed request is a pure cache hit.
-    match client.eval(point.clone()).expect("warm") {
+    // Warm the cache so every timed request is a pure cache hit, and
+    // keep the reply: every timed reply must equal it.
+    let warm = client.eval(point.clone()).expect("warm");
+    match &warm {
         Response::Eval { outcome, .. } => assert!(outcome.result().is_some()),
         other => panic!("expected eval, got {other:?}"),
     }
 
     const N: usize = 400;
-    let sequential = std::time::Instant::now();
-    for _ in 0..N {
-        client.eval(point.clone()).expect("eval");
-    }
-    let sequential = sequential.elapsed();
+    let request = Request::Eval(point.clone());
+    let lockstep = |client: &mut Client| {
+        let started = Instant::now();
+        for _ in 0..N {
+            assert_eq!(client.eval(point.clone()).expect("eval"), warm);
+        }
+        started.elapsed()
+    };
+    let pipelined = |client: &mut Client| {
+        let started = Instant::now();
+        let ids: Vec<u64> = (0..N)
+            .map(|_| client.pipeline(&request).expect("pipeline"))
+            .collect();
+        for id in ids {
+            assert_eq!(client.recv_reply(id).expect("reply"), warm);
+        }
+        started.elapsed()
+    };
 
-    let pipelined = std::time::Instant::now();
-    let ids: Vec<u64> = (0..N)
-        .map(|_| {
-            client
-                .pipeline(&Request::Eval(point.clone()))
-                .expect("pipeline")
-        })
-        .collect();
-    for id in ids {
-        client.recv_reply(id).expect("reply");
+    let mut ratios = Vec::new();
+    let (mut sequential, mut overlapped) = (Duration::ZERO, Duration::ZERO);
+    let started = Instant::now();
+    while started.elapsed() < Duration::from_secs(3) {
+        let (seq, pipe) = if ratios.len() % 2 == 0 {
+            let seq = lockstep(&mut client);
+            (seq, pipelined(&mut client))
+        } else {
+            let pipe = pipelined(&mut client);
+            (lockstep(&mut client), pipe)
+        };
+        sequential += seq;
+        overlapped += pipe;
+        ratios.push(seq.as_secs_f64() / pipe.as_secs_f64());
     }
-    let pipelined = pipelined.elapsed();
-
-    let speedup = sequential.as_secs_f64() / pipelined.as_secs_f64();
+    ratios.sort_by(f64::total_cmp);
+    let speedup = ratios[ratios.len() / 2];
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let required = if cores >= 2 { 5.0 } else { 1.15 };
+    println!(
+        "pipelining: median {speedup:.2}x over {} rounds of {N} evals \
+         (range {:.2}x..{:.2}x; {sequential:?} lockstep vs {overlapped:?} pipelined)",
+        ratios.len(),
+        ratios[0],
+        ratios[ratios.len() - 1],
+    );
     assert!(
         speedup >= required,
-        "pipelining speedup {speedup:.1}x < {required}x on {cores} core(s) \
-         ({sequential:?} vs {pipelined:?})"
+        "pipelining speedup {speedup:.2}x (median of {} rounds) < {required}x \
+         on {cores} core(s)",
+        ratios.len()
     );
 
     client.shutdown().expect("shutdown");
