@@ -246,7 +246,8 @@ explorer daemon:
            hash-partitioned sub-requests whose frontiers merge back
            byte-identical to a single daemon's, tune rounds run
            scatter-gather; a lost shard degrades the reply
-           (\"degraded\":true) instead of failing it (docs/PROTOCOL.md)
+           (\"degraded\":true) instead of failing it (docs/PROTOCOL.md);
+           the daemon-only flags above are refused
   cluster  [--shards N] [--port 7878] [--threads T] [--cache-file FILE]
            one-command local fleet: N in-process shard daemons on
            ephemeral ports plus a coordinator on --port; with
@@ -865,7 +866,7 @@ fn compact_cmd(flags: &Flags) -> CmdResult {
     let report = CacheFile::new(path).compact()?;
     Ok(format!(
         "compacted {path}: kept {} records, dropped {} duplicates, {} rejected, {} tail bytes\n",
-        report.kept, report.dropped_duplicates, report.dropped_rejected, report.dropped_tail_bytes
+        report.loaded, report.duplicates, report.rejected, report.corrupt_tail_bytes
     ))
 }
 
@@ -932,6 +933,29 @@ fn serve_cmd(flags: &Flags) -> CmdResult {
 /// The coordinator variant of `serve`: no evaluation, no cache — just
 /// content-hash routing across the named shard daemons.
 fn coordinator_cmd(flags: &Flags) -> CmdResult {
+    // The daemon's own knobs would be silently dead on a coordinator;
+    // refuse them rather than let the user believe they took.
+    for daemon_only in [
+        "threads",
+        "queue",
+        "batch",
+        "claim",
+        "cache-cap",
+        "cache-file",
+        "trace-log",
+        "trace-cap-mb",
+        "slow-log-us",
+        "sample-interval-ms",
+        "slo",
+    ] {
+        if flags.get_str(daemon_only).is_some() {
+            return Err(format!(
+                "--{daemon_only} applies to an evaluating daemon only; a coordinator \
+                 has no workers, cache file or trace log of its own"
+            )
+            .into());
+        }
+    }
     let shards: Vec<String> = flags
         .get_str("shards")
         .unwrap_or("")
@@ -2135,5 +2159,40 @@ mod tests {
         .collect();
         let err = dispatch(&argv).expect_err("typo").to_string();
         assert!(err.contains("--thread"), "error must name --thread: {err}");
+    }
+
+    #[test]
+    fn coordinator_refuses_daemon_only_flags_before_it_binds() {
+        // The port is taken, so a coordinator that ignored the flag
+        // would fail to bind instead of naming it.
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let port = taken.local_addr().expect("addr").port().to_string();
+        let cache = std::env::temp_dir().join(format!(
+            "chain_nn_cli_coordinator_{}.cache",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&cache);
+        let argv: Vec<String> = [
+            "serve",
+            "--coordinator",
+            "--shards",
+            "127.0.0.1:9",
+            "--port",
+            &port,
+            "--cache-file",
+            cache.to_str().expect("utf-8 temp path"),
+        ]
+        .iter()
+        .map(|s| (*s).to_owned())
+        .collect();
+        let err = dispatch(&argv).expect_err("daemon-only flag").to_string();
+        assert!(
+            err.contains("--cache-file"),
+            "error must name --cache-file: {err}"
+        );
+        assert!(
+            !cache.exists(),
+            "a refused coordinator created its cache file"
+        );
     }
 }

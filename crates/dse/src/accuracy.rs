@@ -28,10 +28,11 @@
 //! The result depends only on `(net, word_bits)` — not on PEs, clock or
 //! memory sizing — so it is memoized process-wide ([`sqnr_for`]) and
 //! rides every persisted [`crate::eval::PointResult`] record
-//! (`dse::persist` schema v2), which is what makes a restarted daemon
-//! re-serve SQNR without recomputing anything. [`recomputations`]
-//! counts actual measurements, so callers can prove cache behaviour
-//! ("second identical sweep: 0 accuracy recomputations").
+//! ([`crate::persist`]), which is what makes a restarted daemon
+//! re-serve a cached point's SQNR without recomputing anything.
+//! [`recomputations`] counts actual measurements, so callers can prove
+//! cache behaviour ("second identical sweep: 0 accuracy
+//! recomputations").
 //!
 //! **Why SQNR and not top-1 accuracy:** the repository has no trained
 //! weights and no dataset (DESIGN.md §5 — the paper's MatConvNet models
@@ -231,10 +232,10 @@ pub fn recomputations() -> u64 {
 
 /// The memoized SQNR of `(net, word_bits)` in dB: measured once per
 /// process per pair (under a lock, so racing callers never measure the
-/// same pair twice), answered from the memo afterwards. The persistence
-/// layer pre-seeds the memo from loaded records ([`seed`]), so a daemon
-/// restarted on a cache file does not re-measure what its snapshot
-/// already knows.
+/// same pair twice), answered from the memo afterwards. Only a
+/// measurement fills the memo: a point loaded from a cache file serves
+/// the SQNR of its own record, and a never-seen point of the same pair
+/// is measured on first use, as in a fresh process.
 ///
 /// # Errors
 ///
@@ -253,23 +254,6 @@ pub fn sqnr_for(net: &str, word_bits: u32) -> Result<f64, DseError> {
     Ok(stats.sqnr_db)
 }
 
-/// Pre-seeds the process-wide memo with a known measurement (a value
-/// loaded from a persisted record). A no-op when the pair is already
-/// memoized; never overwrites, so a measured value always wins over a
-/// loaded one on ties (they are bit-identical anyway — the measurement
-/// is deterministic).
-pub fn seed(net: &str, word_bits: u32, sqnr_db: f64) {
-    if !sqnr_db.is_finite() {
-        return;
-    }
-    let key = (net.to_ascii_lowercase(), word_bits);
-    memo()
-        .lock()
-        .expect("accuracy memo poisoned")
-        .entry(key)
-        .or_insert(sqnr_db);
-}
-
 /// Test-only: forces every `(net, width)` pair that tests in this
 /// crate's binary can reach through [`sqnr_for`] into the memo, so a
 /// test can then read [`recomputations`] without racing concurrent
@@ -282,6 +266,7 @@ pub(crate) fn warm_counter_visible_pairs() {
             sqnr_for(net, bits).expect("zoo pair measures");
         }
     }
+    sqnr_for("mobilenet", 16).expect("zoo pair measures");
 }
 
 #[cfg(test)]
@@ -317,8 +302,8 @@ mod tests {
     }
 
     #[test]
-    fn memo_measures_once_and_seed_preempts() {
-        // The probe pairs (resnet18/mobilenet) are touched by no other
+    fn memo_measures_once() {
+        // The probe pair (resnet18 at 8 bits) is touched by no other
         // test; every pair that IS reachable elsewhere gets settled
         // first, so the global counter cannot move under our feet.
         warm_counter_visible_pairs();
@@ -329,15 +314,6 @@ mod tests {
         let again = sqnr_for("resnet18", 8).unwrap();
         assert_eq!(again.to_bits(), first.to_bits());
         assert_eq!(recomputations(), mid, "memo hit must not re-measure");
-
-        // A seeded pair is served without measuring.
-        seed("mobilenet", 8, 33.25);
-        let served = sqnr_for("mobilenet", 8).unwrap();
-        assert_eq!(served, 33.25);
-        assert_eq!(recomputations(), mid);
-        // Seeding never overwrites.
-        seed("mobilenet", 8, 1.0);
-        assert_eq!(sqnr_for("mobilenet", 8).unwrap(), 33.25);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use chain_nn_energy::power::PowerModel;
 use chain_nn_mem::MemoryConfig;
 
 use crate::spec::DesignPoint;
-use crate::{network_by_name, DseError};
+use crate::{zoo_constructor, DseError, ZooConstructor};
 
 /// Model outputs for one feasible design point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,27 +108,8 @@ impl PointOutcome {
 /// assert!(result.sqnr_db > 40.0);
 /// ```
 pub fn evaluate(point: &DesignPoint) -> Result<PointOutcome, DseError> {
-    let net = network_by_name(&point.net)
-        .ok_or_else(|| DseError::Spec(format!("unknown network '{}'", point.net)))?;
-    if !matches!(point.word_bits, 8 | 16) {
-        // Sub-byte packing is not modeled (MemoryConfig counts whole
-        // bytes per word); reject rather than silently alias to 8-bit.
-        return Err(DseError::Spec(format!(
-            "word width {} unsupported (expected 8 or 16 bits)",
-            point.word_bits
-        )));
-    }
-    if point.batch == 0 {
-        return Err(DseError::Spec(
-            "batch 0 holds no images (expected >= 1)".into(),
-        ));
-    }
-    let cfg = ChainConfig::builder()
-        .num_pes(point.pes)
-        .freq_mhz(point.freq_mhz)
-        .kmemory_depth(point.kmem_depth)
-        .build()
-        .map_err(|e| DseError::Spec(e.to_string()))?;
+    let (build, cfg) = check_point(point)?;
+    let net = build();
     let mem = MemoryConfig {
         imem_bytes: point.imem_kb * 1024,
         omem_bytes: point.omem_kb * 1024,
@@ -160,8 +141,53 @@ pub fn evaluate(point: &DesignPoint) -> Result<PointOutcome, DseError> {
         sram_kb: area.onchip_memory_bytes(mem.imem_bytes, mem.omem_bytes) as f64 / 1024.0,
         sqnr_db,
     };
-    // A clock past the models' range overflows them: no such result is
-    // served, since the wire has no form for a non-finite number.
+    check_result(&result)?;
+    Ok(PointOutcome::Feasible(result))
+}
+
+/// What a point must be before any model runs on it: a zoo network,
+/// 8- or 16-bit words, at least one image per batch, and chain
+/// parameters `ChainConfig` accepts. [`evaluate`] checks every point
+/// with it, and the cache-file loader every record. Returns the
+/// network's constructor, so a caller that only checks builds nothing.
+///
+/// # Errors
+///
+/// [`DseError::Spec`] naming the first failing check.
+pub(crate) fn check_point(point: &DesignPoint) -> Result<(ZooConstructor, ChainConfig), DseError> {
+    let build = zoo_constructor(&point.net)
+        .ok_or_else(|| DseError::Spec(format!("unknown network '{}'", point.net)))?;
+    if !matches!(point.word_bits, 8 | 16) {
+        // Sub-byte packing is not modeled (MemoryConfig counts whole
+        // bytes per word); reject rather than silently alias to 8-bit.
+        return Err(DseError::Spec(format!(
+            "word width {} unsupported (expected 8 or 16 bits)",
+            point.word_bits
+        )));
+    }
+    if point.batch == 0 {
+        return Err(DseError::Spec(
+            "batch 0 holds no images (expected >= 1)".into(),
+        ));
+    }
+    let cfg = ChainConfig::builder()
+        .num_pes(point.pes)
+        .freq_mhz(point.freq_mhz)
+        .kmemory_depth(point.kmem_depth)
+        .build()
+        .map_err(|e| DseError::Spec(e.to_string()))?;
+    Ok((build, cfg))
+}
+
+/// What a feasible result must be before it is served: every field
+/// finite and none negative. A clock past the models' range overflows
+/// them, and the wire has no form for a non-finite number. [`evaluate`]
+/// checks every result with it, and the cache-file loader every record.
+///
+/// # Errors
+///
+/// [`DseError::Spec`] naming the first failing field.
+pub(crate) fn check_result(result: &PointResult) -> Result<(), DseError> {
     for (field, value) in [
         ("fps", result.fps),
         ("achieved_gops", result.achieved_gops),
@@ -172,13 +198,13 @@ pub fn evaluate(point: &DesignPoint) -> Result<PointOutcome, DseError> {
         ("sram_kb", result.sram_kb),
         ("sqnr_db", result.sqnr_db),
     ] {
-        if !value.is_finite() {
+        if !(value.is_finite() && value >= 0.0) {
             return Err(DseError::Spec(format!(
                 "'{field}' is {value} at this point (outside the models' range)"
             )));
         }
     }
-    Ok(PointOutcome::Feasible(result))
+    Ok(())
 }
 
 #[cfg(test)]

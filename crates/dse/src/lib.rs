@@ -71,7 +71,7 @@ pub use accuracy::AccuracyStats;
 pub use cache::{CacheStats, PointCache};
 pub use eval::{evaluate, PointOutcome, PointResult};
 pub use mix::{evaluate_mix, MixEntry, MixOutcome, MixResult, WorkloadMix};
-pub use persist::{CacheFile, CompactReport, LoadReport};
+pub use persist::{CacheFile, LoadReport};
 pub use spec::{DesignPoint, RangeSpec, SweepPart, SweepSpec};
 
 /// Errors produced by the DSE engine.
@@ -94,15 +94,29 @@ impl Error for DseError {}
 /// Looks a zoo network up by its CLI name (case-insensitive, with the
 /// common aliases).
 pub fn network_by_name(name: &str) -> Option<Network> {
-    match name.to_ascii_lowercase().as_str() {
-        "alexnet" => Some(zoo::alexnet()),
-        "vgg16" | "vgg-16" => Some(zoo::vgg16()),
-        "lenet" | "lenet-5" | "mnist" => Some(zoo::lenet()),
-        "cifar10" | "cifar-10" => Some(zoo::cifar10()),
-        "resnet18" | "resnet-18" => Some(zoo::resnet18()),
-        "mobilenet" | "mobilenetv1" | "mobilenet-v1" => Some(zoo::mobilenet_v1()),
-        _ => None,
-    }
+    zoo_constructor(name).map(|build| build())
+}
+
+/// Builds one zoo network.
+pub(crate) type ZooConstructor = fn() -> Network;
+
+/// The zoo constructor [`network_by_name`] would call, without building
+/// the network: what a check that the name is known needs.
+pub(crate) fn zoo_constructor(name: &str) -> Option<ZooConstructor> {
+    const ZOO: [(&[&str], ZooConstructor); 6] = [
+        (&["alexnet"], zoo::alexnet),
+        (&["vgg16", "vgg-16"], zoo::vgg16),
+        (&["lenet", "lenet-5", "mnist"], zoo::lenet),
+        (&["cifar10", "cifar-10"], zoo::cifar10),
+        (&["resnet18", "resnet-18"], zoo::resnet18),
+        (
+            &["mobilenet", "mobilenetv1", "mobilenet-v1"],
+            zoo::mobilenet_v1,
+        ),
+    ];
+    ZOO.iter()
+        .find(|(aliases, _)| aliases.iter().any(|a| a.eq_ignore_ascii_case(name)))
+        .map(|&(_, build)| build)
 }
 
 /// Wall-clock and cache statistics of one sweep run.

@@ -12,6 +12,14 @@
 //!   FNV-1a checksum; the payload carries the point's content hash,
 //!   which the loader recomputes from the decoded point. A flipped bit
 //!   fails the checksum; a decoder mismatch fails the hash cross-check.
+//! * **Checked like a fresh evaluation.** A decoded record is kept only
+//!   if its point passes the checks [`crate::evaluate`] runs before any
+//!   model (a zoo network, 8- or 16-bit words, a batch of at least one,
+//!   chain parameters `ChainConfig` accepts) and a feasible outcome
+//!   passes the ones it runs on a result (every field finite and none
+//!   negative). A failing record is rejected on its own: its framing is
+//!   intact, so the records after it stay. A record speaks only for its
+//!   own point; nothing loaded reaches the accuracy memo.
 //! * **Corruption-tolerant load.** The loader keeps every record up to
 //!   the first framing/checksum failure and truncates the rest away
 //!   (the framing has no resync marker, so bytes after a bad record
@@ -41,69 +49,46 @@
 //!         | 1:u8 fps achieved peak chip dram gates sram sqnr    (feasible, f64 bits each)
 //! ```
 //!
-//! **Version history.** v1 files (magic `chain-nn dse cache v1`) are
-//! identical except that feasible outcomes carry seven f64 fields — no
-//! `sqnr`. The loader still reads them: v1 feasible records are
-//! upgraded in place by recomputing the (deterministic) accuracy
-//! measurement for the record's `(net, word_bits)` pair, and a v1 file
-//! is rewritten as v2 on first load (via [`CacheFile::compact`], which
-//! always writes the current version), so appends never mix versions.
-//! The same corruption tolerance applies to both versions.
+//! A file that does not begin with this magic line is someone else's —
+//! or a snapshot in the retired v1 format, whose feasible records had no
+//! `sqnr`. Loading, compacting and appending all refuse it and leave its
+//! bytes as they were.
 
+use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{self, BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::eval::{PointOutcome, PointResult};
+use crate::eval::{check_point, check_result, PointOutcome, PointResult};
 use crate::spec::DesignPoint;
 use crate::PointCache;
 
-/// Version-bearing first bytes of every cache file (current version).
+/// Version-bearing first bytes of every cache file.
 pub const MAGIC: &[u8] = b"chain-nn dse cache v2\n";
-
-/// The previous format's magic line: feasible records carry no SQNR
-/// field. Still readable; rewritten as v2 on first load.
-pub const MAGIC_V1: &[u8] = b"chain-nn dse cache v1\n";
-
-/// On-disk format versions this loader understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Version {
-    V1,
-    V2,
-}
-
-/// Identifies the snapshot version from the file's first bytes.
-fn detect_version(bytes: &[u8]) -> Option<Version> {
-    if bytes.len() < MAGIC.len() {
-        return None;
-    }
-    match &bytes[..MAGIC.len()] {
-        m if m == MAGIC => Some(Version::V2),
-        m if m == MAGIC_V1 => Some(Version::V1),
-        _ => None,
-    }
-}
 
 /// Hard upper bound on one record's payload (a point plus an error
 /// string); anything larger is framing corruption, not data.
 const MAX_PAYLOAD: u32 = 1 << 16;
 
-/// What a [`CacheFile::load_into`] found.
+/// What a [`CacheFile::load_into`] or a [`CacheFile::compact`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadReport {
-    /// Records decoded, verified and inserted.
+    /// Records decoded, verified and inserted (by `compact`: written
+    /// back).
     pub loaded: usize,
     /// Valid records that repeated an earlier point (first wins; the
     /// repeat is dead weight on disk).
     pub duplicates: usize,
-    /// Records whose checksum passed but whose content hash did not
-    /// match the decoded point (skipped individually).
+    /// Records whose checksum passed but that did not decode, did not
+    /// match their content hash, or failed the checks of a fresh
+    /// evaluation (skipped individually).
     pub rejected: usize,
     /// Bytes abandoned after the first framing/checksum failure (0 for
     /// a clean file).
     pub corrupt_tail_bytes: u64,
-    /// Whether the loader compacted the file because dead records
-    /// (duplicates + rejected) exceeded half of it.
+    /// Whether the file was rewritten: by `load_into` when dead records
+    /// (duplicates + rejected) exceeded half of it, by `compact` always
+    /// unless the file was missing or empty.
     pub compacted: bool,
 }
 
@@ -112,19 +97,6 @@ impl LoadReport {
     pub fn dead(&self) -> usize {
         self.duplicates + self.rejected
     }
-}
-
-/// What a [`CacheFile::compact`] rewrite dropped and kept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompactReport {
-    /// Live records written back (first occurrence of each point).
-    pub kept: usize,
-    /// Later records repeating an already-kept point.
-    pub dropped_duplicates: usize,
-    /// Records failing the decode or content-hash cross-check.
-    pub dropped_rejected: usize,
-    /// Unreadable tail bytes discarded (framing/checksum failure).
-    pub dropped_tail_bytes: u64,
 }
 
 /// Handle to one on-disk cache snapshot (the file may not exist yet).
@@ -237,7 +209,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_payload(payload: &[u8], version: Version) -> Option<(DesignPoint, PointOutcome)> {
+/// Decodes one payload and checks it like a fresh evaluation
+/// ([`check_point`], and [`check_result`] on a feasible outcome). `None`
+/// rejects the record.
+fn decode_payload(payload: &[u8]) -> Option<(DesignPoint, PointOutcome)> {
     let mut c = Cursor {
         bytes: payload,
         at: 0,
@@ -255,35 +230,23 @@ fn decode_payload(payload: &[u8], version: Version) -> Option<(DesignPoint, Poin
     };
     let outcome = match c.take(1)?[0] {
         0 => PointOutcome::Infeasible(c.string()?),
-        1 => {
-            let mut result = PointResult {
-                fps: c.f64()?,
-                achieved_gops: c.f64()?,
-                peak_gops: c.f64()?,
-                chip_mw: c.f64()?,
-                dram_mw: c.f64()?,
-                gates_k: c.f64()?,
-                sram_kb: c.f64()?,
-                sqnr_db: f64::NAN,
-            };
-            match version {
-                // v1 records predate the accuracy model; the
-                // measurement is deterministic, so recomputing it
-                // upgrades the record losslessly. An unmeasurable
-                // record (a net this build no longer knows) is
-                // rejected like any other undecodable payload.
-                Version::V1 => {
-                    result.sqnr_db = crate::accuracy::sqnr_for(&point.net, point.word_bits).ok()?;
-                }
-                Version::V2 => result.sqnr_db = c.f64()?,
-            }
-            PointOutcome::Feasible(result)
-        }
+        1 => PointOutcome::Feasible(PointResult {
+            fps: c.f64()?,
+            achieved_gops: c.f64()?,
+            peak_gops: c.f64()?,
+            chip_mw: c.f64()?,
+            dram_mw: c.f64()?,
+            gates_k: c.f64()?,
+            sram_kb: c.f64()?,
+            sqnr_db: c.f64()?,
+        }),
         _ => return None,
     };
     if !c.done() || point.content_hash() != stored_hash {
         return None;
     }
+    check_point(&point).ok()?;
+    outcome.result().map_or(Ok(()), check_result).ok()?;
     Some((point, outcome))
 }
 
@@ -314,50 +277,9 @@ impl CacheFile {
     /// I/O failures other than "not found", and a present file whose
     /// magic line does not match [`MAGIC`] (that is *someone else's
     /// file*; refusing protects it from our appends).
-    pub fn load_into(&self, cache: &PointCache) -> std::io::Result<LoadReport> {
-        let file = match File::open(&self.path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(LoadReport::default()),
-            Err(e) => return Err(e),
-        };
-        let mut reader = BufReader::new(file);
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        if bytes.is_empty() {
-            return Ok(LoadReport::default());
-        }
-        let Some(version) = detect_version(&bytes) else {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("{} is not a chain-nn dse cache file", self.path.display()),
-            ));
-        };
-        let mut report = LoadReport::default();
-        let mut at = MAGIC.len();
-        while at < bytes.len() {
-            let Some(frame) = read_frame(&bytes, at) else {
-                report.corrupt_tail_bytes = (bytes.len() - at) as u64;
-                break;
-            };
-            let (payload, next) = frame;
-            match decode_payload(payload, version) {
-                Some((point, outcome)) => {
-                    // Pre-seed the process-wide accuracy memo: a daemon
-                    // restarted on this file must not re-measure pairs
-                    // its snapshot already knows.
-                    if let PointOutcome::Feasible(r) = &outcome {
-                        crate::accuracy::seed(&point.net, point.word_bits, r.sqnr_db);
-                    }
-                    if cache.insert_loaded(&point, outcome) {
-                        report.loaded += 1;
-                    } else {
-                        report.duplicates += 1;
-                    }
-                }
-                None => report.rejected += 1,
-            }
-            at = next;
-        }
+    pub fn load_into(&self, cache: &PointCache) -> io::Result<LoadReport> {
+        let (mut report, readable) =
+            self.walk(|point, outcome| cache.insert_loaded(&point, outcome))?;
         if report.corrupt_tail_bytes > 0 {
             // WAL-style recovery: drop the unreadable tail so the next
             // append extends the valid prefix instead of writing records
@@ -365,17 +287,15 @@ impl CacheFile {
             OpenOptions::new()
                 .write(true)
                 .open(&self.path)?
-                .set_len(at as u64)?;
+                .set_len(readable)?;
         }
         // Append-only files accrete dead weight (duplicates from
-        // evict-then-reevaluate cycles, hash-rejected records). Once
-        // the majority of the file is dead, rewrite it in place — the
+        // evict-then-reevaluate cycles, rejected records). Once the
+        // majority of the file is dead, rewrite it in place — the
         // loader already owns the file at this point in a daemon's
-        // life, and the cache contents are unaffected. A v1 file is
-        // always rewritten (compact emits the current version), so a
-        // later append never mixes record schemas in one file.
+        // life, and the cache contents are unaffected.
         let total = report.loaded + report.dead();
-        if (total > 0 && report.dead() * 2 > total) || version == Version::V1 {
+        if total > 0 && report.dead() * 2 > total {
             self.compact()?;
             report.compacted = true;
         }
@@ -395,133 +315,53 @@ impl CacheFile {
     ///
     /// I/O failures, and a present file whose magic line is foreign.
     /// A missing file is an empty snapshot: nothing to do.
-    pub fn compact(&self) -> std::io::Result<CompactReport> {
-        let bytes = match std::fs::read(&self.path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(CompactReport::default()),
-            Err(e) => return Err(e),
-        };
-        if bytes.is_empty() {
-            return Ok(CompactReport::default());
-        }
-        let Some(version) = detect_version(&bytes) else {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("{} is not a chain-nn dse cache file", self.path.display()),
-            ));
-        };
-        let mut report = CompactReport::default();
-        let mut seen: std::collections::HashMap<u64, Vec<DesignPoint>> =
-            std::collections::HashMap::new();
-        let mut live: Vec<(DesignPoint, PointOutcome)> = Vec::new();
-        let mut at = MAGIC.len();
-        while at < bytes.len() {
-            let Some((payload, next)) = read_frame(&bytes, at) else {
-                report.dropped_tail_bytes = (bytes.len() - at) as u64;
-                break;
-            };
-            match decode_payload(payload, version) {
-                Some((point, outcome)) => {
-                    let bucket = seen.entry(point.content_hash()).or_default();
-                    if bucket.contains(&point) {
-                        report.dropped_duplicates += 1;
-                    } else {
-                        bucket.push(point.clone());
-                        live.push((point, outcome));
-                        report.kept += 1;
-                    }
-                }
-                None => report.dropped_rejected += 1,
+    pub fn compact(&self) -> io::Result<LoadReport> {
+        let mut seen = HashSet::new();
+        let mut live = Vec::new();
+        let (mut report, readable) = self.walk(|point, outcome| {
+            let new = seen.insert(point.canonical_bytes());
+            if new {
+                live.push((point, outcome));
             }
-            at = next;
+            new
+        })?;
+        if readable == 0 {
+            return Ok(report);
         }
-
-        let tmp_path = {
-            let mut p = self.path.clone().into_os_string();
-            p.push(".compact-tmp");
-            PathBuf::from(p)
-        };
-        {
-            let mut tmp = File::create(&tmp_path)?;
-            let mut w = BufWriter::new(&mut tmp);
-            w.write_all(MAGIC)?;
-            for (point, outcome) in &live {
-                let payload = encode_payload(point, outcome);
-                w.write_all(&(payload.len() as u32).to_le_bytes())?;
-                w.write_all(&fnv1a(&payload).to_le_bytes())?;
-                w.write_all(&payload)?;
-            }
-            w.flush()?;
-            drop(w);
-            tmp.sync_data()?;
-        }
+        let mut tmp_path = self.path.clone().into_os_string();
+        tmp_path.push(".compact-tmp");
+        write_records(&mut File::create(&tmp_path)?, true, &live)?;
         std::fs::rename(&tmp_path, &self.path)?;
+        report.compacted = true;
         Ok(report)
     }
 
     /// Appends `entries` as one batch of records, creating the file
     /// (with its magic line) on first use, then syncs file data to
-    /// disk. Appending nothing is a no-op that touches nothing. A
-    /// present v1 snapshot is upgraded (via [`CacheFile::compact`])
-    /// before the first append, so one file never mixes versions; a
-    /// file with a foreign magic line is refused.
+    /// disk. Appending nothing is a no-op that touches nothing. A file
+    /// with a foreign magic line is refused.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures (open, write, sync) and refuses foreign
     /// files.
-    pub fn append(&self, entries: &[(DesignPoint, PointOutcome)]) -> std::io::Result<usize> {
+    pub fn append(&self, entries: &[(DesignPoint, PointOutcome)]) -> io::Result<usize> {
         if entries.is_empty() {
             return Ok(0);
         }
-        match std::fs::File::open(&self.path) {
-            Err(e) if e.kind() == ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-            Ok(mut existing) => {
-                let mut head = [0u8; 32];
-                let mut got = 0usize;
-                while got < head.len() {
-                    match existing.read(&mut head[got..])? {
-                        0 => break,
-                        n => got += n,
-                    }
-                }
-                if got > 0 {
-                    match detect_version(&head[..got]) {
-                        Some(Version::V2) => {}
-                        Some(Version::V1) => {
-                            // Upgrade in place; compact always writes
-                            // the current version.
-                            self.compact()?;
-                        }
-                        None => {
-                            return Err(std::io::Error::new(
-                                ErrorKind::InvalidData,
-                                format!("{} is not a chain-nn dse cache file", self.path.display()),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
         let mut file = OpenOptions::new()
-            .create(true)
+            .read(true)
             .append(true)
+            .create(true)
             .open(&self.path)?;
-        let need_magic = file.metadata()?.len() == 0;
-        let mut w = BufWriter::new(&mut file);
-        if need_magic {
-            w.write_all(MAGIC)?;
+        let mut head = Vec::with_capacity(MAGIC.len());
+        (&mut file)
+            .take(MAGIC.len() as u64)
+            .read_to_end(&mut head)?;
+        if !head.is_empty() {
+            self.check_magic(&head)?;
         }
-        for (point, outcome) in entries {
-            let payload = encode_payload(point, outcome);
-            w.write_all(&(payload.len() as u32).to_le_bytes())?;
-            w.write_all(&fnv1a(&payload).to_le_bytes())?;
-            w.write_all(&payload)?;
-        }
-        w.flush()?;
-        drop(w);
-        file.sync_data()?;
+        write_records(&mut file, head.is_empty(), entries)?;
         Ok(entries.len())
     }
 
@@ -534,7 +374,7 @@ impl CacheFile {
     /// Propagates [`CacheFile::append`] failures. The drained entries
     /// are re-inserted into the journal on failure, so a retried flush
     /// loses nothing.
-    pub fn flush_dirty(&self, cache: &PointCache) -> std::io::Result<usize> {
+    pub fn flush_dirty(&self, cache: &PointCache) -> io::Result<usize> {
         let started = std::time::Instant::now();
         let dirty = cache.take_dirty();
         match self.append(&dirty) {
@@ -556,6 +396,77 @@ impl CacheFile {
             }
         }
     }
+
+    /// Reads the snapshot and hands every record that decodes and
+    /// passes the checks to `keep`, in file order; `keep` says whether
+    /// the record's point was new (`false` counts it as a duplicate).
+    /// Returns what the walk found and the length of the readable
+    /// prefix, which is 0 for a missing or empty file.
+    fn walk(
+        &self,
+        mut keep: impl FnMut(DesignPoint, PointOutcome) -> bool,
+    ) -> io::Result<(LoadReport, u64)> {
+        let bytes = match std::fs::read(&self.path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let mut report = LoadReport::default();
+        if bytes.is_empty() {
+            return Ok((report, 0));
+        }
+        self.check_magic(&bytes)?;
+        let mut at = MAGIC.len();
+        while at < bytes.len() {
+            let Some((payload, next)) = read_frame(&bytes, at) else {
+                report.corrupt_tail_bytes = (bytes.len() - at) as u64;
+                break;
+            };
+            match decode_payload(payload).map(|(point, outcome)| keep(point, outcome)) {
+                Some(true) => report.loaded += 1,
+                Some(false) => report.duplicates += 1,
+                None => report.rejected += 1,
+            }
+            at = next;
+        }
+        Ok((report, at as u64))
+    }
+
+    /// Refuses a file that does not begin with [`MAGIC`]: someone
+    /// else's, or a retired v1 snapshot.
+    fn check_magic(&self, head: &[u8]) -> io::Result<()> {
+        if head.starts_with(MAGIC) {
+            return Ok(());
+        }
+        Err(io::Error::new(
+            ErrorKind::InvalidData,
+            format!("{} is not a chain-nn dse cache file", self.path.display()),
+        ))
+    }
+}
+
+/// Writes `entries` as framed records to `file`, after the magic line
+/// when `magic` is set, then syncs the file's data to disk.
+fn write_records(
+    file: &mut File,
+    magic: bool,
+    entries: &[(DesignPoint, PointOutcome)],
+) -> io::Result<()> {
+    let mut w = BufWriter::new(&mut *file);
+    if magic {
+        w.write_all(MAGIC)?;
+    }
+    for (point, outcome) in entries {
+        write_frame(&mut w, &encode_payload(point, outcome))?;
+    }
+    w.into_inner()?.sync_data()
+}
+
+/// Writes one frame: the payload's length, its checksum, the payload.
+fn write_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    out.write_all(&(payload.len() as u32).to_le_bytes())?;
+    out.write_all(&fnv1a(payload).to_le_bytes())?;
+    out.write_all(payload)
 }
 
 /// One frame at `at`: returns `(payload, next_offset)` when the length,
@@ -763,10 +674,11 @@ mod tests {
         let report = file.compact().unwrap();
         assert_eq!(
             report,
-            CompactReport {
-                kept: 3,
-                dropped_duplicates: 2,
-                ..CompactReport::default()
+            LoadReport {
+                loaded: 3,
+                duplicates: 2,
+                compacted: true,
+                ..LoadReport::default()
             }
         );
         assert!(std::fs::metadata(&path).unwrap().len() < before);
@@ -782,8 +694,8 @@ mod tests {
         assert_eq!(cache.get(&pts[1]), Some(feasible(2.0)));
         // Idempotent: compacting a compacted file drops nothing.
         let again = file.compact().unwrap();
-        assert_eq!(again.kept, 3);
-        assert_eq!(again.dropped_duplicates, 0);
+        assert_eq!(again.loaded, 3);
+        assert_eq!(again.duplicates, 0);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -818,102 +730,97 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Hand-writes a v1-format snapshot (seven f64 fields, v1 magic):
-    /// what a pre-accuracy-model daemon left on disk.
-    fn write_v1_file(path: &std::path::Path, entries: &[(DesignPoint, PointOutcome)]) {
-        let mut bytes = MAGIC_V1.to_vec();
-        for (point, outcome) in entries {
-            // The v1 payload is the v2 payload minus the trailing sqnr
-            // field on feasible outcomes.
-            let mut payload = encode_payload(point, outcome);
-            if matches!(outcome, PointOutcome::Feasible(_)) {
-                payload.truncate(payload.len() - 8);
-            }
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-        }
-        std::fs::write(path, bytes).unwrap();
-    }
-
-    #[test]
-    fn v1_files_load_upgraded_with_measured_sqnr() {
-        let path = temp_path("v1_upgrade");
-        let pts = points(2);
-        write_v1_file(
-            &path,
-            &[
-                (pts[0].clone(), feasible(10.0)),
-                (pts[1].clone(), PointOutcome::Infeasible("too small".into())),
-            ],
-        );
-
-        let cache = PointCache::new();
-        let file = CacheFile::new(&path);
-        let report = file.load_into(&cache).unwrap();
-        assert_eq!(report.loaded, 2);
-        assert_eq!(report.rejected, 0);
-        assert!(report.compacted, "v1 files are rewritten as v2 on load");
-
-        // The feasible record was upgraded with the measured SQNR of
-        // its (net, word) pair — not the NaN placeholder.
-        let Some(PointOutcome::Feasible(r)) = cache.get(&pts[0]) else {
-            panic!("feasible record lost in upgrade");
+    /// The result of `feasible(fps)` with one field replaced.
+    fn feasible_with(fps: f64, edit: impl FnOnce(&mut PointResult)) -> PointOutcome {
+        let PointOutcome::Feasible(mut r) = feasible(fps) else {
+            unreachable!()
         };
-        let expected = crate::accuracy::sqnr_for(&pts[0].net, pts[0].word_bits).unwrap();
-        assert_eq!(r.sqnr_db.to_bits(), expected.to_bits());
-        // Everything else round-tripped bit-exactly.
-        assert_eq!(r.fps, 10.0);
-        assert_eq!(r.sram_kb, 300.5);
+        edit(&mut r);
+        PointOutcome::Feasible(r)
+    }
 
-        // The file on disk is now v2: a fresh load sees current magic,
-        // keeps the upgraded SQNR, and needs no further rewrite.
-        let head = std::fs::read(&path).unwrap();
-        assert_eq!(&head[..MAGIC.len()], MAGIC);
-        let cache2 = PointCache::new();
-        let report2 = file.load_into(&cache2).unwrap();
-        assert_eq!(report2.loaded, 2);
-        assert!(!report2.compacted);
-        assert_eq!(cache2.get(&pts[0]), cache.get(&pts[0]));
-        std::fs::remove_file(&path).unwrap();
+    /// The records of a crafted file whose checksums and content hashes
+    /// are valid but whose first two records no evaluation produces.
+    fn crafted_records() -> Vec<(DesignPoint, PointOutcome)> {
+        let pts = points(2);
+        vec![
+            (
+                DesignPoint {
+                    net: "bogus".into(),
+                    word_bits: 4,
+                    ..pts[0].clone()
+                },
+                feasible(10.0),
+            ),
+            (pts[0].clone(), feasible_with(-5.0, |r| r.sqnr_db = 99.0)),
+            (pts[1].clone(), feasible(20.0)),
+        ]
     }
 
     #[test]
-    fn append_upgrades_v1_files_instead_of_mixing_versions() {
-        let path = temp_path("v1_append");
-        let pts = points(3);
-        write_v1_file(&path, &[(pts[0].clone(), feasible(1.0))]);
-
+    fn records_failing_the_evaluation_checks_are_rejected_and_later_records_stay() {
+        let path = temp_path("checked");
         let file = CacheFile::new(&path);
-        assert_eq!(file.append(&[(pts[1].clone(), feasible(2.0))]).unwrap(), 1);
-        // One readable v2 file holding both the upgraded v1 record and
-        // the appended one.
+        let records = crafted_records();
+        file.append(&records).unwrap();
+
         let cache = PointCache::new();
         let report = file.load_into(&cache).unwrap();
-        assert_eq!(report.loaded, 2);
-        assert_eq!(report.corrupt_tail_bytes, 0);
-        assert!(cache.get(&pts[0]).is_some());
-        assert_eq!(cache.get(&pts[1]), Some(feasible(2.0)));
-        std::fs::remove_file(&path).unwrap();
-
-        // Appending to a foreign file is refused, protecting it.
-        let foreign = temp_path("foreign_append");
-        std::fs::write(&foreign, b"someone else's data that is long enough\n").unwrap();
-        assert!(CacheFile::new(&foreign)
-            .append(&[(pts[2].clone(), feasible(3.0))])
-            .is_err());
         assert_eq!(
-            std::fs::read(&foreign).unwrap(),
-            b"someone else's data that is long enough\n"
+            report,
+            LoadReport {
+                loaded: 1,
+                rejected: 2,
+                compacted: true,
+                ..LoadReport::default()
+            }
         );
-        std::fs::remove_file(&foreign).unwrap();
+        assert!(
+            cache.get(&records[0].0).is_none(),
+            "unknown net, 4-bit words"
+        );
+        assert!(cache.get(&records[1].0).is_none(), "negative fps");
+        assert_eq!(cache.get(&records[2].0), Some(records[2].1.clone()));
+        // Compaction dropped both, and kept the record after them.
+        let reloaded = PointCache::new();
+        let again = file.load_into(&reloaded).unwrap();
+        assert_eq!((again.loaded, again.dead()), (1, 0));
+        assert_eq!(reloaded.entries(), cache.entries());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn loading_seeds_the_accuracy_memo() {
+    fn v1_and_foreign_files_are_refused_and_left_unchanged() {
+        let pts = points(1);
+        let v1 = [&b"chain-nn dse cache v1\n"[..], &[7; 40]].concat();
+        for (tag, bytes) in [
+            ("v1", v1),
+            (
+                "foreign",
+                b"someone else's data that is long enough\n".to_vec(),
+            ),
+        ] {
+            let path = temp_path(tag);
+            std::fs::write(&path, &bytes).unwrap();
+            let file = CacheFile::new(&path);
+            for err in [
+                file.load_into(&PointCache::new()).err(),
+                file.compact().err(),
+                file.append(&[(pts[0].clone(), feasible(1.0))]).err(),
+            ] {
+                let err = err.expect("refused");
+                assert!(err.to_string().contains("is not a chain-nn dse cache file"));
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{tag} file changed");
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn loaded_records_do_not_seed_the_accuracy_memo() {
         // A record whose (net, word) pair no measurement would produce:
-        // loading must seed the memo so the daemon serves it as-is.
-        let path = temp_path("seed_memo");
+        // its own point serves it, and the pair is still measured.
+        let path = temp_path("no_seed");
         let file = CacheFile::new(&path);
         let point = DesignPoint {
             net: "mobilenet".into(),
@@ -921,32 +828,198 @@ mod tests {
             pes: 121,
             ..DesignPoint::paper_alexnet()
         };
-        let outcome = PointOutcome::Feasible(PointResult {
-            sqnr_db: 61.5,
-            ..match feasible(5.0) {
-                PointOutcome::Feasible(r) => r,
-                PointOutcome::Infeasible(_) => unreachable!(),
-            }
-        });
-        file.append(&[(point.clone(), outcome)]).unwrap();
-        // Settle every pair other tests can measure before reading the
-        // process-global counter (see accuracy::warm_counter_visible_pairs).
-        crate::accuracy::warm_counter_visible_pairs();
-        let before = crate::accuracy::recomputations();
-        file.load_into(&PointCache::new()).unwrap();
+        let outcome = feasible_with(5.0, |r| r.sqnr_db = 61.5);
+        file.append(&[(point.clone(), outcome.clone())]).unwrap();
+        let cache = PointCache::new();
+        file.load_into(&cache).unwrap();
+        assert_eq!(cache.get(&point), Some(outcome));
+        let measured = crate::accuracy::measure(&crate::network_by_name("mobilenet").unwrap(), 16)
+            .unwrap()
+            .sqnr_db;
         assert_eq!(
-            crate::accuracy::sqnr_for("mobilenet", 16).unwrap(),
-            61.5,
-            "loaded SQNR must pre-seed the memo"
+            crate::accuracy::sqnr_for("mobilenet", 16)
+                .unwrap()
+                .to_bits(),
+            measured.to_bits(),
+            "the loaded 61.5 dB must not reach the memo"
         );
-        assert_eq!(crate::accuracy::recomputations(), before);
+        assert!((measured - 84.0).abs() < 0.05, "{measured}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// splitmix64: the fuzz cases' deterministic stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+    }
+
+    fn file_of(payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        for payload in payloads {
+            write_frame(&mut bytes, payload).unwrap();
+        }
+        bytes
+    }
+
+    /// Replaces one field of a record with a value a fresh evaluation
+    /// may or may not accept.
+    fn mutate_record(rng: &mut Rng, point: &mut DesignPoint, outcome: &mut PointOutcome) {
+        const ODD: [f64; 8] = [
+            -5.0,
+            -0.0,
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e-300,
+            99.0,
+        ];
+        let odd = ODD[rng.below(ODD.len())];
+        match rng.below(8) {
+            0 => point.net = ["bogus", "", "ALEXNET", "vgg-16", "mnist"][rng.below(5)].into(),
+            1 => point.word_bits = [0, 4, 8, 12, 16, 32][rng.below(6)],
+            2 => point.batch = rng.below(3),
+            3 => point.pes = rng.below(3),
+            4 => point.kmem_depth = rng.below(3),
+            5 => point.freq_mhz = odd,
+            _ => match outcome {
+                PointOutcome::Feasible(r) => {
+                    let fields = [
+                        &mut r.fps,
+                        &mut r.achieved_gops,
+                        &mut r.peak_gops,
+                        &mut r.chip_mw,
+                        &mut r.dram_mw,
+                        &mut r.gates_k,
+                        &mut r.sram_kb,
+                        &mut r.sqnr_db,
+                    ];
+                    *fields.into_iter().nth(rng.below(8)).unwrap() = odd;
+                }
+                PointOutcome::Infeasible(_) => *outcome = feasible(odd),
+            },
+        }
+    }
+
+    /// Loads `bytes` as a cache file and asserts the loader's contract
+    /// on it: only checked records load, a truncated file reloads
+    /// clean, compaction keeps the entries, and a refused file is left
+    /// as it was.
+    fn check_fuzz_case(file: &CacheFile, bytes: &[u8]) {
+        std::fs::write(file.path(), bytes).unwrap();
+        let first = PointCache::new();
+        let Ok(report) = file.load_into(&first) else {
+            assert!(file.compact().is_err());
+            assert!(file
+                .append(&[(points(1)[0].clone(), feasible(1.0))])
+                .is_err());
+            assert_eq!(std::fs::read(file.path()).unwrap(), bytes);
+            return;
+        };
+        let entries = first.entries();
+        assert_eq!(entries.len(), report.loaded);
+        for (point, outcome) in &entries {
+            assert!(
+                check_point(point).is_ok() && outcome.result().map_or(Ok(()), check_result).is_ok(),
+                "{point}: {outcome:?}"
+            );
+        }
+        let reloaded = PointCache::new();
+        assert_eq!(file.load_into(&reloaded).unwrap().corrupt_tail_bytes, 0);
+        assert_eq!(reloaded.entries(), entries);
+        file.compact().unwrap();
+        let compacted = PointCache::new();
+        file.load_into(&compacted).unwrap();
+        assert_eq!(compacted.entries(), entries);
+    }
+
+    #[test]
+    fn fuzzed_files_load_only_checked_records_and_never_panic() {
+        let path = temp_path("fuzz");
+        let file = CacheFile::new(&path);
+        let pts = points(3);
+        let base = [
+            (pts[0].clone(), feasible(10.0)),
+            (pts[1].clone(), PointOutcome::Infeasible("too small".into())),
+            (
+                DesignPoint {
+                    net: "vgg16".into(),
+                    word_bits: 8,
+                    ..pts[2].clone()
+                },
+                feasible(3.5),
+            ),
+            (pts[0].clone(), feasible(11.0)),
+        ];
+        let payloads: Vec<Vec<u8>> = base.iter().map(|(p, o)| encode_payload(p, o)).collect();
+        let clean = file_of(&payloads);
+        let mut cases = 0;
+        for len in 0..=clean.len() {
+            check_fuzz_case(&file, &clean[..len]);
+            cases += 1;
+        }
+        let mut rng = Rng(0x00c0_ffee);
+        while cases < 10_000 {
+            let mut records = payloads.clone();
+            let at = rng.below(records.len());
+            let bytes = match rng.below(4) {
+                // Random bytes after the magic line and some records.
+                0 => {
+                    let mut bytes = file_of(&records[..rng.below(records.len() + 1)]);
+                    bytes.extend((0..rng.below(300)).map(|_| rng.next() as u8));
+                    bytes
+                }
+                // Bit flips anywhere, magic line included.
+                1 => {
+                    let mut bytes = clean.clone();
+                    for _ in 0..1 + rng.below(3) {
+                        let i = rng.below(bytes.len());
+                        bytes[i] ^= 1 << rng.below(8);
+                    }
+                    bytes
+                }
+                // Payload bytes changed, then checksummed again.
+                2 => {
+                    let payload = &mut records[at];
+                    for _ in 0..1 + rng.below(3) {
+                        let i = rng.below(payload.len());
+                        match rng.below(3) {
+                            0 => payload[i] ^= 1 << rng.below(8),
+                            1 => payload[i] = rng.next() as u8,
+                            _ => payload.truncate(i.max(1)),
+                        }
+                    }
+                    file_of(&records)
+                }
+                // One field changed, then hashed and checksummed again.
+                _ => {
+                    let (mut point, mut outcome) = base[at].clone();
+                    mutate_record(&mut rng, &mut point, &mut outcome);
+                    records[at] = encode_payload(&point, &outcome);
+                    file_of(&records)
+                }
+            };
+            check_fuzz_case(&file, &bytes);
+            cases += 1;
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn compact_missing_and_foreign_files() {
         let file = CacheFile::new(temp_path("compact_missing"));
-        assert_eq!(file.compact().unwrap(), CompactReport::default());
+        assert_eq!(file.compact().unwrap(), LoadReport::default());
         let path = temp_path("compact_foreign");
         std::fs::write(&path, b"someone else's data\n").unwrap();
         assert!(CacheFile::new(&path).compact().is_err());

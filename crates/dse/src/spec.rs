@@ -12,6 +12,11 @@ use std::str::FromStr;
 
 use crate::DseError;
 
+/// The most points one sweep grid may hold. [`SweepSpec::validate`]
+/// refuses a larger grid before a single point is built; the largest
+/// sweep the README runs has 3,844.
+pub const MAX_GRID_POINTS: usize = 1 << 20;
+
 /// One fully-specified candidate accelerator + workload configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
@@ -285,7 +290,8 @@ impl SweepSpec {
         }
     }
 
-    /// Checks that every axis is non-empty and physically sensible.
+    /// Checks that every axis is non-empty and physically sensible, and
+    /// that the grid holds at most [`MAX_GRID_POINTS`] points.
     ///
     /// # Errors
     ///
@@ -316,6 +322,11 @@ impl SweepSpec {
         if self.nets.is_empty() {
             return Err(axis_err("nets"));
         }
+        if self.len() > MAX_GRID_POINTS {
+            return Err(DseError::Spec(format!(
+                "sweep grid exceeds {MAX_GRID_POINTS} points (split it into smaller sweeps)"
+            )));
+        }
         for &b in &self.word_bits {
             // Sub-byte packing is not modeled: MemoryConfig counts whole
             // bytes per word, so a 4-bit word would silently behave like
@@ -337,7 +348,7 @@ impl SweepSpec {
             ));
         }
         for name in &self.nets {
-            if crate::network_by_name(name).is_none() {
+            if crate::zoo_constructor(name).is_none() {
                 return Err(DseError::Spec(format!("unknown network '{name}'")));
             }
         }
@@ -357,16 +368,22 @@ impl SweepSpec {
 
     /// Number of points in the *full* grid, ignoring any partition —
     /// the index space shard results merge back into. The partitioned
-    /// point count is `points().len()`.
+    /// point count is `points().len()`. Saturates at `usize::MAX`
+    /// instead of wrapping, so no grid past [`MAX_GRID_POINTS`] passes
+    /// [`SweepSpec::validate`].
     pub fn len(&self) -> usize {
-        self.pes.len()
-            * self.freqs_mhz.len()
-            * self.kmem_depths.len()
-            * self.imem_kb.len()
-            * self.omem_kb.len()
-            * self.word_bits.len()
-            * self.batches.len()
-            * self.nets.len()
+        [
+            self.pes.len(),
+            self.freqs_mhz.len(),
+            self.kmem_depths.len(),
+            self.imem_kb.len(),
+            self.omem_kb.len(),
+            self.word_bits.len(),
+            self.batches.len(),
+            self.nets.len(),
+        ]
+        .into_iter()
+        .fold(1, usize::saturating_mul)
     }
 
     /// Whether the grid is empty.
@@ -530,6 +547,42 @@ mod tests {
         let mut c = a.clone();
         c.freq_mhz = 700.0000001;
         assert_ne!(a.content_hash(), c.content_hash());
+    }
+
+    #[test]
+    fn validate_refuses_grids_past_the_cap_without_wrapping() {
+        let capped = |spec: &SweepSpec| matches!(spec.validate(), Err(DseError::Spec(m)) if m.contains("exceeds"));
+        // 6,000 x 6,000: 36M points.
+        let wide = SweepSpec {
+            pes: (1..=6000).collect(),
+            freqs_mhz: (1..=6000).map(f64::from).collect(),
+            ..SweepSpec::paper_point()
+        };
+        assert!(capped(&wide));
+        // 256 values on each of the 8 axes: 2^64 points, which wraps a
+        // plain product to 0.
+        let huge = SweepSpec {
+            pes: (1..=256).collect(),
+            freqs_mhz: (1..=256).map(f64::from).collect(),
+            kmem_depths: (1..=256).collect(),
+            imem_kb: (1..=256).collect(),
+            omem_kb: (1..=256).collect(),
+            word_bits: [8, 16].repeat(128),
+            batches: (1..=256).collect(),
+            nets: vec!["lenet".to_owned(); 256],
+            part: None,
+        };
+        assert_eq!(huge.len(), usize::MAX);
+        assert!(!huge.is_empty());
+        assert!(capped(&huge));
+        // The cap itself is allowed.
+        let at_cap = SweepSpec {
+            pes: (1..=1024).collect(),
+            freqs_mhz: (1..=1024).map(f64::from).collect(),
+            ..SweepSpec::paper_point()
+        };
+        assert_eq!(at_cap.len(), MAX_GRID_POINTS);
+        at_cap.validate().unwrap();
     }
 
     #[test]

@@ -150,8 +150,6 @@ pub(crate) struct Local {
     flush_lock: Mutex<()>,
     threads: usize,
     loaded_from_disk: usize,
-    /// Whether the cache has a capacity bound (`--cache-cap`).
-    cache_bounded: bool,
 }
 
 impl Local {
@@ -179,7 +177,6 @@ impl Local {
             flush_lock: Mutex::new(()),
             threads: config.threads.max(1),
             loaded_from_disk,
-            cache_bounded: config.cache_capacity.is_some(),
         })
     }
 }
@@ -203,19 +200,19 @@ impl Backend for Local {
     /// after every request that may have evaluated something, and once
     /// more at shutdown.
     fn flush(&self) -> io::Result<usize> {
-        let Some(file) = &self.cache_file else {
-            if self.cache_bounded {
-                // No persistence to protect: discard the journal so the
-                // capacity bound can actually evict (eviction never
-                // touches dirty entries) and the journal does not hold
-                // a second copy of every evaluation forever.
-                let _guard = self.flush_lock.lock().expect("flush lock poisoned");
-                drop(self.scheduler.cache().take_dirty());
-            }
-            return Ok(0);
-        };
         let _guard = self.flush_lock.lock().expect("flush lock poisoned");
-        file.flush_dirty(self.scheduler.cache())
+        let cache = self.scheduler.cache();
+        match &self.cache_file {
+            Some(file) => file.flush_dirty(cache),
+            None => {
+                // No persistence to protect: discard the journal, so it
+                // does not hold a second copy of every evaluation and a
+                // capacity bound can evict (eviction never touches
+                // dirty entries).
+                drop(cache.take_dirty());
+                Ok(0)
+            }
+        }
     }
 
     fn counters(&self) -> ServerStats {
@@ -354,5 +351,23 @@ impl Session for &Local {
             })
             .collect();
         (entries, false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flush_without_a_cache_file_or_a_cap_drops_the_journal() {
+        let local = Local::open(&ServerConfig::default(), &Registry::new()).expect("open");
+        let cache = local.scheduler.cache();
+        cache.insert(
+            &DesignPoint::paper_alexnet(),
+            PointOutcome::Infeasible("journaled".into()),
+        );
+        assert_eq!(local.flush().expect("flush"), 0);
+        assert!(cache.take_dirty().is_empty(), "journal kept after flush");
+        assert_eq!(cache.len(), 1);
     }
 }

@@ -31,3 +31,14 @@ $BIN query --port 7979 "$SWEEP" | tee sweep2.json \
 grep -q '"cache_hits":8' sweep2.json
 $BIN query --port 7979 shutdown
 wait $SERVE_PID
+
+# A cache file in the retired v1 format is someone else's file: serve
+# refuses it before binding and leaves its bytes as they were. (The
+# timeout only bounds a daemon that would wrongly start serving.)
+printf 'chain-nn dse cache v1\n\001\002\003\004' > v1.cache
+cp v1.cache v1.orig
+if timeout 20 $BIN serve --port 7979 --cache-file v1.cache > v1.log 2>&1; then
+  echo "serve accepted a v1 cache file"; exit 1
+fi
+grep -q "is not a chain-nn dse cache file" v1.log
+cmp v1.cache v1.orig

@@ -259,6 +259,112 @@ fn daemon_restart_reserves_sqnr_from_the_persist_format() {
     std::fs::remove_file(&cache_path).ok();
 }
 
+/// A record speaks only for its own point. The daemon restarts on a
+/// crafted file whose checksums and content hashes are valid: a point
+/// `evaluate` refuses, and a vgg16 8-bit point at -5 fps and 99 dB.
+/// Both are rejected at load: the first is a spec error again, the
+/// second is evaluated afresh, and a never-seen point of its (network,
+/// width) pair reports the measured SQNR. No other test in this binary
+/// measures vgg16 at 8 bits, so only the crafted record could have put
+/// 99 dB into the process-wide accuracy memo.
+#[test]
+fn daemon_restart_rejects_records_a_fresh_evaluation_refuses() {
+    use chain_nn_repro::dse::{
+        accuracy, network_by_name, CacheFile, DesignPoint, PointCache, PointOutcome, PointResult,
+    };
+
+    let cache_path = {
+        let mut p = std::env::temp_dir();
+        p.push(format!(
+            "chain_nn_serve_crafted_{}.cache",
+            std::process::id()
+        ));
+        p
+    };
+    let bogus = DesignPoint {
+        net: "bogus".into(),
+        word_bits: 4,
+        ..DesignPoint::paper_alexnet()
+    };
+    let vgg = DesignPoint {
+        net: "vgg16".into(),
+        word_bits: 8,
+        ..DesignPoint::paper_alexnet()
+    };
+    let never_seen = DesignPoint {
+        pes: 1152,
+        ..vgg.clone()
+    };
+    let forged = PointResult {
+        fps: -5.0,
+        achieved_gops: 1.0,
+        peak_gops: 1.0,
+        chip_mw: 1.0,
+        dram_mw: 1.0,
+        gates_k: 1.0,
+        sram_kb: 1.0,
+        sqnr_db: 99.0,
+    };
+    let write_crafted = || {
+        let _ = std::fs::remove_file(&cache_path);
+        CacheFile::new(&cache_path)
+            .append(&[
+                (
+                    bogus.clone(),
+                    PointOutcome::Feasible(PointResult {
+                        fps: 10.0,
+                        ..forged
+                    }),
+                ),
+                (vgg.clone(), PointOutcome::Feasible(forged)),
+            ])
+            .expect("write the crafted file");
+    };
+    write_crafted();
+    let report = CacheFile::new(&cache_path)
+        .load_into(&PointCache::new())
+        .expect("load");
+    assert_eq!((report.loaded, report.rejected), (0, 2));
+
+    write_crafted();
+    let (addr, daemon) = start(ServerConfig {
+        threads: 2,
+        cache_file: Some(cache_path.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    match client.eval(bogus).expect("round trip decodes") {
+        Response::Error { message } => {
+            assert!(message.contains("unknown network 'bogus'"), "{message}")
+        }
+        other => panic!("expected error, got {other:?}"),
+    }
+    match client.eval(vgg).expect("eval") {
+        Response::Eval { outcome, .. } => {
+            let fps = outcome.result().expect("feasible").fps;
+            assert!(fps > 0.0, "{fps}");
+        }
+        other => panic!("expected eval, got {other:?}"),
+    }
+    let measured = accuracy::measure(&network_by_name("vgg16").expect("zoo"), 8)
+        .expect("measure")
+        .sqnr_db;
+    match client.eval(never_seen).expect("eval") {
+        Response::Eval { outcome, .. } => {
+            let sqnr = outcome.result().expect("feasible").sqnr_db;
+            assert_eq!(sqnr.to_bits(), measured.to_bits(), "{sqnr} dB");
+        }
+        other => panic!("expected eval, got {other:?}"),
+    }
+    match client.stats().expect("stats") {
+        Response::Stats(stats) => assert_eq!(stats.loaded_from_disk, 0),
+        other => panic!("expected stats, got {other:?}"),
+    }
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+    std::fs::remove_file(&cache_path).ok();
+}
+
 /// One session survives malformed requests, serves multiple requests
 /// in order, and eval answers match the library evaluator bit-exactly.
 #[test]
@@ -336,6 +442,36 @@ fn session_is_robust_and_consistent_with_the_library() {
         match client.sweep(bad).expect("round trip") {
             Response::Error { message } => assert!(message.contains("squeezenet"), "{message}"),
             other => panic!("expected error, got {other:?}"),
+        }
+
+        // Grids past the point cap are refused before a single point is
+        // built: 6,000 x 6,000 (36M points), and 256 values on each of
+        // the 8 axes (2^64 points, which wraps an unchecked product).
+        let wide = SweepSpec {
+            pes: (1..=6000).collect(),
+            freqs_mhz: (1..=6000).map(f64::from).collect(),
+            ..SweepSpec::paper_point()
+        };
+        let huge = SweepSpec {
+            pes: (1..=256).collect(),
+            freqs_mhz: (1..=256).map(f64::from).collect(),
+            kmem_depths: (1..=256).collect(),
+            imem_kb: (1..=256).collect(),
+            omem_kb: (1..=256).collect(),
+            word_bits: [8, 16].repeat(128),
+            batches: (1..=256).collect(),
+            nets: vec!["lenet".to_owned(); 256],
+            part: None,
+        };
+        for grid in [wide, huge] {
+            match client.sweep(grid).expect("round trip decodes") {
+                Response::Error { message } => assert!(message.contains("exceeds"), "{message}"),
+                other => panic!("expected error, got {other:?}"),
+            }
+            match client.eval(paper.clone()).expect("eval") {
+                Response::Eval { outcome, .. } => assert!(outcome.result().is_some()),
+                other => panic!("expected eval, got {other:?}"),
+            }
         }
 
         client.shutdown().expect("shutdown");
