@@ -342,6 +342,9 @@ fn sweep_from(flags: &Flags) -> Result<SweepSpec, Box<dyn Error>> {
 
 fn dse_cmd(flags: &Flags) -> CmdResult {
     let spec = sweep_from(flags)?;
+    // Before the cache file is touched: loading may truncate or compact
+    // it, which a command that fails on its own flags must not do.
+    spec.validate()?;
     let threads = flags.get_or("threads", executor::default_threads())?;
     let mut explorer = Explorer::new();
     // --cache-file makes standalone sweeps incremental across runs, the
@@ -1773,6 +1776,15 @@ mod tests {
         assert!(second.contains("2 hits / 0 misses"), "{second}");
         assert!(second.contains("accuracy recomputations: 0"), "{second}");
         assert!(second.contains("2 points loaded, 0 appended"), "{second}");
+        // A sweep that fails validation leaves the file alone, torn
+        // tail included.
+        let mut torn = std::fs::read(&path).expect("read cache");
+        torn.extend_from_slice(b"torn");
+        std::fs::write(&path, &torn).expect("tear cache");
+        let mut bad: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+        bad[6] = "squeezenet".to_owned();
+        assert!(dispatch(&bad).is_err());
+        assert_eq!(std::fs::read(&path).expect("read cache"), torn);
         std::fs::remove_file(&path).ok();
     }
 

@@ -317,6 +317,50 @@ mod tests {
     }
 
     #[test]
+    fn loaded_records_do_not_seed_the_memo() {
+        // A record whose (net, word) pair no measurement would produce:
+        // its own point serves it, and the pair is still measured.
+        use crate::{CacheFile, DesignPoint, PointCache, PointOutcome, PointResult};
+
+        let path = std::env::temp_dir().join(format!(
+            "chain_nn_accuracy_no_seed_{}.cache",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let point = DesignPoint {
+            net: "mobilenet".into(),
+            word_bits: 16,
+            pes: 121,
+            ..DesignPoint::paper_alexnet()
+        };
+        let outcome = PointOutcome::Feasible(PointResult {
+            fps: 5.0,
+            achieved_gops: 10.0,
+            peak_gops: 15.0,
+            chip_mw: 500.0,
+            dram_mw: 50.0,
+            gates_k: 1000.0,
+            sram_kb: 300.5,
+            sqnr_db: 61.5,
+        });
+        let file = CacheFile::new(&path);
+        file.append(&[(point.clone(), outcome.clone())]).unwrap();
+        let cache = PointCache::new();
+        assert_eq!(file.load_into(&cache).unwrap().loaded, 1);
+        assert_eq!(cache.get(&point), Some(outcome));
+        let measured = measure(&network_by_name("mobilenet").unwrap(), 16)
+            .unwrap()
+            .sqnr_db;
+        assert_eq!(
+            sqnr_for("mobilenet", 16).unwrap().to_bits(),
+            measured.to_bits(),
+            "the loaded 61.5 dB must not reach the memo"
+        );
+        assert!((measured - 84.0).abs() < 0.05, "{measured}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn unknown_net_and_bad_width_are_errors() {
         assert!(sqnr_for("squeezenet", 16).is_err());
         let net = network_by_name("lenet").unwrap();

@@ -19,7 +19,7 @@
 //!   passes the ones it runs on a result (every field finite and none
 //!   negative). A failing record is rejected on its own: its framing is
 //!   intact, so the records after it stay. A record speaks only for its
-//!   own point; nothing loaded reaches the accuracy memo.
+//!   own point: loading measures nothing and memoizes nothing.
 //! * **Corruption-tolerant load.** The loader keeps every record up to
 //!   the first framing/checksum failure and truncates the rest away
 //!   (the framing has no resync marker, so bytes after a bad record
@@ -560,11 +560,27 @@ mod tests {
 
     #[test]
     fn foreign_file_is_refused() {
-        let path = temp_path("foreign");
-        std::fs::write(&path, b"definitely,not,a,cache\n1,2,3\n").unwrap();
-        let err = CacheFile::new(&path).load_into(&PointCache::new());
-        assert!(err.is_err());
-        std::fs::remove_file(&path).unwrap();
+        // Someone else's file, and one in the retired v1 format: load,
+        // compaction and append all refuse it and leave it as it was.
+        let v1 = [&b"chain-nn dse cache v1\n"[..], &[7; 40]].concat();
+        for (tag, bytes) in [
+            ("foreign", b"definitely,not,a,cache\n1,2,3\n".to_vec()),
+            ("v1", v1),
+        ] {
+            let path = temp_path(tag);
+            std::fs::write(&path, &bytes).unwrap();
+            let file = CacheFile::new(&path);
+            for err in [
+                file.load_into(&PointCache::new()).err(),
+                file.compact().err(),
+                file.append(&[(points(1)[0].clone(), feasible(1.0))]).err(),
+            ] {
+                let err = err.expect("refused");
+                assert!(err.to_string().contains("is not a chain-nn dse cache file"));
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{tag} file changed");
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]
@@ -730,38 +746,27 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// The result of `feasible(fps)` with one field replaced.
-    fn feasible_with(fps: f64, edit: impl FnOnce(&mut PointResult)) -> PointOutcome {
-        let PointOutcome::Feasible(mut r) = feasible(fps) else {
-            unreachable!()
-        };
-        edit(&mut r);
-        PointOutcome::Feasible(r)
-    }
-
-    /// The records of a crafted file whose checksums and content hashes
-    /// are valid but whose first two records no evaluation produces.
-    fn crafted_records() -> Vec<(DesignPoint, PointOutcome)> {
-        let pts = points(2);
-        vec![
-            (
-                DesignPoint {
-                    net: "bogus".into(),
-                    word_bits: 4,
-                    ..pts[0].clone()
-                },
-                feasible(10.0),
-            ),
-            (pts[0].clone(), feasible_with(-5.0, |r| r.sqnr_db = 99.0)),
-            (pts[1].clone(), feasible(20.0)),
-        ]
-    }
-
     #[test]
     fn records_failing_the_evaluation_checks_are_rejected_and_later_records_stay() {
+        // Valid checksums and content hashes, but no evaluation produces
+        // the first two records.
         let path = temp_path("checked");
         let file = CacheFile::new(&path);
-        let records = crafted_records();
+        let pts = points(2);
+        let bogus = DesignPoint {
+            net: "bogus".into(),
+            word_bits: 4,
+            ..pts[0].clone()
+        };
+        let negative = PointResult {
+            sqnr_db: 99.0,
+            ..*feasible(-5.0).result().unwrap()
+        };
+        let records = [
+            (bogus, feasible(10.0)),
+            (pts[0].clone(), PointOutcome::Feasible(negative)),
+            (pts[1].clone(), feasible(20.0)),
+        ];
         file.append(&records).unwrap();
 
         let cache = PointCache::new();
@@ -786,64 +791,6 @@ mod tests {
         let again = file.load_into(&reloaded).unwrap();
         assert_eq!((again.loaded, again.dead()), (1, 0));
         assert_eq!(reloaded.entries(), cache.entries());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn v1_and_foreign_files_are_refused_and_left_unchanged() {
-        let pts = points(1);
-        let v1 = [&b"chain-nn dse cache v1\n"[..], &[7; 40]].concat();
-        for (tag, bytes) in [
-            ("v1", v1),
-            (
-                "foreign",
-                b"someone else's data that is long enough\n".to_vec(),
-            ),
-        ] {
-            let path = temp_path(tag);
-            std::fs::write(&path, &bytes).unwrap();
-            let file = CacheFile::new(&path);
-            for err in [
-                file.load_into(&PointCache::new()).err(),
-                file.compact().err(),
-                file.append(&[(pts[0].clone(), feasible(1.0))]).err(),
-            ] {
-                let err = err.expect("refused");
-                assert!(err.to_string().contains("is not a chain-nn dse cache file"));
-            }
-            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{tag} file changed");
-            std::fs::remove_file(&path).unwrap();
-        }
-    }
-
-    #[test]
-    fn loaded_records_do_not_seed_the_accuracy_memo() {
-        // A record whose (net, word) pair no measurement would produce:
-        // its own point serves it, and the pair is still measured.
-        let path = temp_path("no_seed");
-        let file = CacheFile::new(&path);
-        let point = DesignPoint {
-            net: "mobilenet".into(),
-            word_bits: 16,
-            pes: 121,
-            ..DesignPoint::paper_alexnet()
-        };
-        let outcome = feasible_with(5.0, |r| r.sqnr_db = 61.5);
-        file.append(&[(point.clone(), outcome.clone())]).unwrap();
-        let cache = PointCache::new();
-        file.load_into(&cache).unwrap();
-        assert_eq!(cache.get(&point), Some(outcome));
-        let measured = crate::accuracy::measure(&crate::network_by_name("mobilenet").unwrap(), 16)
-            .unwrap()
-            .sqnr_db;
-        assert_eq!(
-            crate::accuracy::sqnr_for("mobilenet", 16)
-                .unwrap()
-                .to_bits(),
-            measured.to_bits(),
-            "the loaded 61.5 dB must not reach the memo"
-        );
-        assert!((measured - 84.0).abs() < 0.05, "{measured}");
         std::fs::remove_file(&path).unwrap();
     }
 
