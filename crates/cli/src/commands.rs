@@ -36,6 +36,22 @@ const AXES: [&str; 8] = [
 /// the chain flags [`chain_from`] reads.
 const MODEL: [&str; 5] = ["net", "batch", "pes", "freq", "kmemory"];
 
+/// The `serve` flags only an evaluating daemon reads; a coordinator
+/// refuses them.
+const DAEMON_ONLY: [&str; 11] = [
+    "threads",
+    "queue",
+    "batch",
+    "claim",
+    "cache-cap",
+    "cache-file",
+    "trace-log",
+    "trace-cap-mb",
+    "slow-log-us",
+    "sample-interval-ms",
+    "slo",
+];
+
 /// An optional typed flag (absent is `None`, unparseable is an error).
 fn opt_flag<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, ArgError> {
     match flags.get_str(name) {
@@ -104,24 +120,13 @@ pub fn dispatch(argv: &[String]) -> CmdResult {
         )?),
         "compact" => compact_cmd(&flags(&["cache-file"])?),
         // The daemon's flags and the coordinator's together.
-        "serve" => serve_cmd(&flags(&[
-            "port",
-            "host",
-            "threads",
-            "queue",
-            "batch",
-            "claim",
-            "max-connections",
-            "cache-cap",
-            "cache-file",
-            "trace-log",
-            "trace-cap-mb",
-            "slow-log-us",
-            "sample-interval-ms",
-            "slo",
-            "coordinator",
-            "shards",
-        ])?),
+        "serve" => serve_cmd(&flags(
+            &[
+                &DAEMON_ONLY[..],
+                &["port", "host", "max-connections", "coordinator", "shards"],
+            ]
+            .concat(),
+        )?),
         "cluster" => cluster_cmd(&flags(&[
             "shards",
             "threads",
@@ -938,19 +943,7 @@ fn serve_cmd(flags: &Flags) -> CmdResult {
 fn coordinator_cmd(flags: &Flags) -> CmdResult {
     // The daemon's own knobs would be silently dead on a coordinator;
     // refuse them rather than let the user believe they took.
-    for daemon_only in [
-        "threads",
-        "queue",
-        "batch",
-        "claim",
-        "cache-cap",
-        "cache-file",
-        "trace-log",
-        "trace-cap-mb",
-        "slow-log-us",
-        "sample-interval-ms",
-        "slo",
-    ] {
+    for daemon_only in DAEMON_ONLY {
         if flags.get_str(daemon_only).is_some() {
             return Err(format!(
                 "--{daemon_only} applies to an evaluating daemon only; a coordinator \
