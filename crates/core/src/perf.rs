@@ -23,9 +23,14 @@
 //!   pattern duration `K·W_padded + K − 1`, pipeline drains before kernel
 //!   reloads, and per-image kernel loads — it matches the cycle-accurate
 //!   simulator *exactly* (asserted in the integration tests). Strided
-//!   layers are costed through their the [polyphase decomposition][crate::polyphase]
-//!   decomposition, which is how this reproduction actually executes
-//!   them.
+//!   layers are costed through their [polyphase
+//!   decomposition][crate::polyphase], which is how this reproduction
+//!   actually executes them.
+//!
+//! A network's totals are a fold of its layers' [`LayerPerf`]s through
+//! [`RunTotals`]: [`PerfModel::network`] folds through it, and so does
+//! the power model's one pass over a network, which feeds each layer's
+//! cycles to the traffic model too.
 
 use chain_nn_nets::{ConvLayerSpec, Network};
 
@@ -62,6 +67,79 @@ impl LayerPerf {
     /// Streaming + drain cycles per image.
     pub fn compute_cycles(&self) -> f64 {
         self.stream_cycles + self.drain_cycles
+    }
+}
+
+/// A network run's totals, folded one layer at a time: the batch time
+/// that fps and GOPS come from, and the clock-free activity (cycles and
+/// MACs for the whole batch) that the power model charges. Kernel loads
+/// are charged once per batch (the paper's amortization argument in
+/// §V.B).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunTotals {
+    batch: usize,
+    freq_hz: f64,
+    total_ms: f64,
+    macs_per_image: u64,
+    conv_cycles: f64,
+    load_cycles: f64,
+    macs: f64,
+}
+
+impl RunTotals {
+    /// Empty totals for `batch` images on `cfg`'s clock.
+    pub fn new(cfg: &ChainConfig, batch: usize) -> Self {
+        RunTotals {
+            batch,
+            freq_hz: cfg.freq_mhz() * 1e6,
+            total_ms: 0.0,
+            macs_per_image: 0,
+            conv_cycles: 0.0,
+            load_cycles: 0.0,
+            macs: 0.0,
+        }
+    }
+
+    /// Adds one layer and returns its Fig. 9 times for the whole batch
+    /// in milliseconds: `(convolution, kernel load)`.
+    pub fn add(&mut self, layer: &LayerPerf) -> (f64, f64) {
+        let n = self.batch as f64;
+        let conv_cycles = layer.compute_cycles() * n;
+        let conv_ms = conv_cycles / self.freq_hz * 1e3;
+        let load_ms = layer.load_cycles as f64 / self.freq_hz * 1e3;
+        self.total_ms += conv_ms + load_ms;
+        self.macs_per_image += layer.macs;
+        self.conv_cycles += conv_cycles;
+        self.load_cycles += layer.load_cycles as f64;
+        self.macs += layer.macs as f64 * n;
+        (conv_ms, load_ms)
+    }
+
+    /// Batch latency in milliseconds: the sum of every layer's
+    /// convolution and kernel-load times.
+    pub fn total_ms(&self) -> f64 {
+        self.total_ms
+    }
+
+    /// Frames per second.
+    pub fn fps(&self) -> f64 {
+        self.batch as f64 / (self.total_ms / 1e3)
+    }
+
+    /// Achieved throughput in GOPS (2 ops per MAC).
+    pub fn gops(&self) -> f64 {
+        (2 * self.macs_per_image * self.batch as u64) as f64 / (self.total_ms / 1e3) / 1e9
+    }
+
+    /// Cycles the whole batch keeps the chain busy: convolution plus
+    /// kernel loads.
+    pub fn cycles(&self) -> f64 {
+        self.conv_cycles + self.load_cycles
+    }
+
+    /// Useful MACs for the whole batch.
+    pub fn macs(&self) -> f64 {
+        self.macs
     }
 }
 
@@ -215,30 +293,22 @@ impl PerfModel {
         batch: usize,
         model: CycleModel,
     ) -> Result<NetworkPerf, CoreError> {
-        let freq_hz = self.cfg.freq_mhz() * 1e6;
+        let mut run = RunTotals::new(&self.cfg, batch);
         let mut layers = Vec::with_capacity(net.layers().len());
-        let mut total_ms = 0f64;
-        let mut total_macs = 0u64;
         for spec in net.layers() {
-            let perf = self.layer(spec, model)?;
-            let conv_ms = perf.compute_cycles() * batch as f64 / freq_hz * 1e3;
-            let load_ms = perf.load_cycles as f64 / freq_hz * 1e3;
-            total_ms += conv_ms + load_ms;
-            total_macs += perf.macs;
+            let (conv_ms, load_ms) = run.add(&self.layer(spec, model)?);
             layers.push(LayerTime {
                 name: spec.name().to_owned(),
                 conv_ms,
                 load_ms,
             });
         }
-        let fps = batch as f64 / (total_ms / 1e3);
-        let gops = (2 * total_macs * batch as u64) as f64 / (total_ms / 1e3) / 1e9;
         Ok(NetworkPerf {
             layers,
             batch,
-            total_ms,
-            fps,
-            gops,
+            total_ms: run.total_ms(),
+            fps: run.fps(),
+            gops: run.gops(),
         })
     }
 }

@@ -53,9 +53,8 @@
 //! assert_eq!(accuracy::sqnr_for("lenet", 16).unwrap(), wide);
 //! ```
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use chain_nn_fixed::error::{compare, ErrorStats};
 use chain_nn_fixed::{OverflowMode, QFormat};
@@ -64,7 +63,7 @@ use chain_nn_nets::{ConvLayerSpec, Network};
 use chain_nn_tensor::conv::{conv2d_f32, conv2d_fix};
 use chain_nn_tensor::ops;
 
-use crate::{network_by_name, DseError};
+use crate::{DseError, ZooNet};
 
 /// Pooled float-vs-fixed error statistics of one `(net, word)` pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -211,13 +210,6 @@ pub fn measure(net: &Network, word_bits: u32) -> Result<AccuracyStats, DseError>
     })
 }
 
-type Memo = Mutex<HashMap<(String, u32), f64>>;
-
-fn memo() -> &'static Memo {
-    static MEMO: OnceLock<Memo> = OnceLock::new();
-    MEMO.get_or_init(Memo::default)
-}
-
 fn recompute_counter() -> &'static AtomicU64 {
     static COUNT: AtomicU64 = AtomicU64::new(0);
     &COUNT
@@ -231,34 +223,47 @@ pub fn recomputations() -> u64 {
 }
 
 /// The memoized SQNR of `(net, word_bits)` in dB: measured once per
-/// process per pair (under a lock, so racing callers never measure the
-/// same pair twice), answered from the memo afterwards. Only a
-/// measurement fills the memo: a point loaded from a cache file serves
-/// the SQNR of its own record, and a never-seen point of the same pair
-/// is measured on first use, as in a fresh process.
+/// process per pair (racing callers wait for the one measurement),
+/// answered from the memo afterwards. The memo is keyed by zoo network,
+/// so every spelling of one network (`vgg16`, `VGG-16`) shares its
+/// entry. Only a measurement fills the memo: a point loaded from a
+/// cache file serves the SQNR of its own record, and a never-seen point
+/// of the same pair is measured on first use, as in a fresh process.
 ///
 /// # Errors
 ///
 /// [`DseError::Spec`] for an unknown network or unsupported word width.
 pub fn sqnr_for(net: &str, word_bits: u32) -> Result<f64, DseError> {
-    let key = (net.to_ascii_lowercase(), word_bits);
-    let mut memo = memo().lock().expect("accuracy memo poisoned");
-    if let Some(&sqnr) = memo.get(&key) {
-        return Ok(sqnr);
-    }
-    let network =
-        network_by_name(net).ok_or_else(|| DseError::Spec(format!("unknown network '{net}'")))?;
-    let stats = measure(&network, word_bits)?;
-    recompute_counter().fetch_add(1, Ordering::Relaxed);
-    memo.insert(key, stats.sqnr_db);
-    Ok(stats.sqnr_db)
+    let zoo_net =
+        ZooNet::find(net).ok_or_else(|| DseError::Spec(format!("unknown network '{net}'")))?;
+    sqnr_of(zoo_net, word_bits)
+}
+
+/// [`sqnr_for`] of a resolved zoo network. A memo hit is one atomic
+/// load: it takes no lock and allocates nothing.
+pub(crate) fn sqnr_of(net: ZooNet, word_bits: u32) -> Result<f64, DseError> {
+    type Slot = OnceLock<Result<f64, DseError>>;
+    static MEMO: [[Slot; 2]; ZooNet::COUNT] =
+        [const { [const { OnceLock::new() }; 2] }; ZooNet::COUNT];
+    let width = match word_bits {
+        8 => 0,
+        16 => 1,
+        _ => return measure(net.network(), word_bits).map(|stats| stats.sqnr_db),
+    };
+    MEMO[net.index()][width]
+        .get_or_init(|| {
+            let stats = measure(net.network(), word_bits)?;
+            recompute_counter().fetch_add(1, Ordering::Relaxed);
+            Ok(stats.sqnr_db)
+        })
+        .clone()
 }
 
 /// Test-only: forces every `(net, width)` pair that tests in this
 /// crate's binary can reach through [`sqnr_for`] into the memo, so a
 /// test can then read [`recomputations`] without racing concurrent
-/// tests mid-measurement (measurements complete — and count — under
-/// the memo lock before this returns).
+/// tests mid-measurement (measurements complete — and count — inside
+/// the memo's initialisation before this returns).
 #[cfg(test)]
 pub(crate) fn warm_counter_visible_pairs() {
     for net in ["lenet", "cifar10", "alexnet", "vgg16"] {
@@ -272,6 +277,7 @@ pub(crate) fn warm_counter_visible_pairs() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network_by_name;
 
     #[test]
     fn wider_words_measure_higher_sqnr_on_every_zoo_net() {
@@ -301,11 +307,17 @@ mod tests {
         assert_eq!(a.mse.to_bits(), b.mse.to_bits());
     }
 
+    /// Held by the tests that read [`recomputations`] deltas around a
+    /// pair only they measure, so one's probe cannot land in the
+    /// other's window.
+    static COUNTER_WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn memo_measures_once() {
         // The probe pair (resnet18 at 8 bits) is touched by no other
         // test; every pair that IS reachable elsewhere gets settled
         // first, so the global counter cannot move under our feet.
+        let _window = COUNTER_WINDOW.lock().unwrap_or_else(|e| e.into_inner());
         warm_counter_visible_pairs();
         let before = recomputations();
         let first = sqnr_for("resnet18", 8).unwrap();
@@ -314,6 +326,16 @@ mod tests {
         let again = sqnr_for("resnet18", 8).unwrap();
         assert_eq!(again.to_bits(), first.to_bits());
         assert_eq!(recomputations(), mid, "memo hit must not re-measure");
+    }
+
+    #[test]
+    fn alias_spellings_share_one_measurement() {
+        let _window = COUNTER_WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+        warm_counter_visible_pairs();
+        let before = recomputations();
+        let alias = sqnr_for("CIFAR-10", 16).unwrap();
+        assert_eq!(recomputations(), before, "an alias must not re-measure");
+        assert_eq!(alias.to_bits(), sqnr_for("cifar10", 16).unwrap().to_bits());
     }
 
     #[test]

@@ -1,14 +1,20 @@
 //! Evaluation of one design point through the full model stack:
 //! performance (fps), power (on-chip + DRAM interface), and area.
+//!
+//! [`evaluate`] is one pass over the point's layers: each layer's
+//! cycles are predicted once and feed the run totals and that layer's
+//! traffic ([`PowerModel::activity`]). fps, power, area and SQNR then
+//! follow from the totals. The network is the process's one built copy
+//! and the SQNR a memo hit, so the pass builds no network and allocates
+//! nothing per layer.
 
-use chain_nn_core::perf::{CycleModel, PerfModel};
 use chain_nn_core::ChainConfig;
 use chain_nn_energy::area::AreaModel;
 use chain_nn_energy::power::PowerModel;
 use chain_nn_mem::MemoryConfig;
 
-use crate::spec::DesignPoint;
-use crate::{zoo_constructor, DseError, ZooConstructor};
+use crate::spec::{check_axis_bounds, DesignPoint};
+use crate::{DseError, ZooNet};
 
 /// Model outputs for one feasible design point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,32 +114,27 @@ impl PointOutcome {
 /// assert!(result.sqnr_db > 40.0);
 /// ```
 pub fn evaluate(point: &DesignPoint) -> Result<PointOutcome, DseError> {
-    let (build, cfg) = check_point(point)?;
-    let net = build();
+    let (net, cfg) = check_point(point)?;
     let mem = MemoryConfig {
         imem_bytes: point.imem_kb * 1024,
         omem_bytes: point.omem_kb * 1024,
         word_bytes: point.word_bits as usize / 8,
     };
 
-    let perf = match PerfModel::new(cfg).network(&net, point.batch, CycleModel::PaperCalibrated) {
-        Ok(p) => p,
+    let model = PowerModel::with_operand_bits(cfg, mem, point.word_bits);
+    let activity = match model.activity(net.network(), point.batch) {
+        Ok(a) => a,
         Err(e) => return Ok(PointOutcome::Infeasible(e.to_string())),
     };
-    let power = match PowerModel::with_operand_bits(cfg, mem, point.word_bits)
-        .network_power(&net, point.batch)
-    {
-        Ok(p) => p,
-        Err(e) => return Ok(PointOutcome::Infeasible(e.to_string())),
-    };
+    let power = model.power(&activity);
     let area = AreaModel::with_operand_bits(cfg, point.word_bits);
-    // Memoized per (net, word_bits): the measurement runs once per
-    // process per pair, however many grid points share it.
-    let sqnr_db = crate::accuracy::sqnr_for(&point.net, point.word_bits)?;
+    // Memoized per (zoo network, word_bits): the measurement runs once
+    // per process per pair, however many grid points share it.
+    let sqnr_db = crate::accuracy::sqnr_of(net, point.word_bits)?;
 
     let result = PointResult {
-        fps: perf.fps,
-        achieved_gops: perf.gops,
+        fps: activity.run.fps(),
+        achieved_gops: activity.run.gops(),
         peak_gops: cfg.peak_gops(),
         chip_mw: power.breakdown.total_mw(),
         dram_mw: power.dram_mw,
@@ -146,16 +147,17 @@ pub fn evaluate(point: &DesignPoint) -> Result<PointOutcome, DseError> {
 }
 
 /// What a point must be before any model runs on it: a zoo network,
-/// 8- or 16-bit words, at least one image per batch, and chain
-/// parameters `ChainConfig` accepts. [`evaluate`] checks every point
-/// with it, and the cache-file loader every record. Returns the
-/// network's constructor, so a caller that only checks builds nothing.
+/// 8- or 16-bit words, at least one image per batch, integer axes
+/// within their bounds, and chain parameters `ChainConfig` accepts.
+/// [`evaluate`] checks every point with it, and the cache-file loader
+/// every record. Returns the zoo network, which a caller that only
+/// checks never builds.
 ///
 /// # Errors
 ///
 /// [`DseError::Spec`] naming the first failing check.
-pub(crate) fn check_point(point: &DesignPoint) -> Result<(ZooConstructor, ChainConfig), DseError> {
-    let build = zoo_constructor(&point.net)
+pub(crate) fn check_point(point: &DesignPoint) -> Result<(ZooNet, ChainConfig), DseError> {
+    let net = ZooNet::find(&point.net)
         .ok_or_else(|| DseError::Spec(format!("unknown network '{}'", point.net)))?;
     if !matches!(point.word_bits, 8 | 16) {
         // Sub-byte packing is not modeled (MemoryConfig counts whole
@@ -170,13 +172,20 @@ pub(crate) fn check_point(point: &DesignPoint) -> Result<(ZooConstructor, ChainC
             "batch 0 holds no images (expected >= 1)".into(),
         ));
     }
+    check_axis_bounds([
+        point.pes,
+        point.kmem_depth,
+        point.imem_kb,
+        point.omem_kb,
+        point.batch,
+    ])?;
     let cfg = ChainConfig::builder()
         .num_pes(point.pes)
         .freq_mhz(point.freq_mhz)
         .kmemory_depth(point.kmem_depth)
         .build()
         .map_err(|e| DseError::Spec(e.to_string()))?;
-    Ok((build, cfg))
+    Ok((net, cfg))
 }
 
 /// What a feasible result must be before it is served: every field

@@ -63,6 +63,7 @@ pub mod spec;
 
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use chain_nn_nets::{zoo, Network};
@@ -92,31 +93,75 @@ impl fmt::Display for DseError {
 impl Error for DseError {}
 
 /// Looks a zoo network up by its CLI name (case-insensitive, with the
-/// common aliases).
+/// common aliases). Returns a copy of the network the process builds
+/// once and evaluates every point of.
 pub fn network_by_name(name: &str) -> Option<Network> {
-    zoo_constructor(name).map(|build| build())
+    ZooNet::find(name).map(|net| net.network().clone())
 }
 
-/// Builds one zoo network.
-pub(crate) type ZooConstructor = fn() -> Network;
+/// One zoo network: its spellings and its constructor.
+struct ZooEntry {
+    aliases: &'static [&'static str],
+    build: fn() -> Network,
+}
 
-/// The zoo constructor [`network_by_name`] would call, without building
-/// the network: what a check that the name is known needs.
-pub(crate) fn zoo_constructor(name: &str) -> Option<ZooConstructor> {
-    const ZOO: [(&[&str], ZooConstructor); 6] = [
-        (&["alexnet"], zoo::alexnet),
-        (&["vgg16", "vgg-16"], zoo::vgg16),
-        (&["lenet", "lenet-5", "mnist"], zoo::lenet),
-        (&["cifar10", "cifar-10"], zoo::cifar10),
-        (&["resnet18", "resnet-18"], zoo::resnet18),
-        (
-            &["mobilenet", "mobilenetv1", "mobilenet-v1"],
-            zoo::mobilenet_v1,
-        ),
-    ];
-    ZOO.iter()
-        .find(|(aliases, _)| aliases.iter().any(|a| a.eq_ignore_ascii_case(name)))
-        .map(|&(_, build)| build)
+/// The zoo, in [`ZooNet`] order.
+const ZOO: [ZooEntry; 6] = [
+    ZooEntry {
+        aliases: &["alexnet"],
+        build: zoo::alexnet,
+    },
+    ZooEntry {
+        aliases: &["vgg16", "vgg-16"],
+        build: zoo::vgg16,
+    },
+    ZooEntry {
+        aliases: &["lenet", "lenet-5", "mnist"],
+        build: zoo::lenet,
+    },
+    ZooEntry {
+        aliases: &["cifar10", "cifar-10"],
+        build: zoo::cifar10,
+    },
+    ZooEntry {
+        aliases: &["resnet18", "resnet-18"],
+        build: zoo::resnet18,
+    },
+    ZooEntry {
+        aliases: &["mobilenet", "mobilenetv1", "mobilenet-v1"],
+        build: zoo::mobilenet_v1,
+    },
+];
+
+/// A zoo network, found by any of its spellings. Evaluation and the
+/// accuracy memo key on it, so `vgg16` and `VGG-16` share one built
+/// network and one measured SQNR per word width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ZooNet(usize);
+
+impl ZooNet {
+    /// How many networks the zoo holds.
+    pub(crate) const COUNT: usize = ZOO.len();
+
+    /// The network `name` spells (case-insensitive), without building
+    /// it.
+    pub(crate) fn find(name: &str) -> Option<ZooNet> {
+        ZOO.iter()
+            .position(|entry| entry.aliases.iter().any(|a| a.eq_ignore_ascii_case(name)))
+            .map(ZooNet)
+    }
+
+    /// Its place in the zoo, below [`ZooNet::COUNT`].
+    pub(crate) fn index(self) -> usize {
+        self.0
+    }
+
+    /// The network, built on first use and shared by the process after.
+    pub(crate) fn network(self) -> &'static Network {
+        static BUILT: [OnceLock<Network>; ZooNet::COUNT] =
+            [const { OnceLock::new() }; ZooNet::COUNT];
+        BUILT[self.0].get_or_init(ZOO[self.0].build)
+    }
 }
 
 /// Wall-clock and cache statistics of one sweep run.

@@ -85,7 +85,7 @@ impl WorkloadMix {
             return Err(DseError::Spec("workload mix has no entries".into()));
         }
         for e in &entries {
-            if crate::network_by_name(&e.net).is_none() {
+            if crate::ZooNet::find(&e.net).is_none() {
                 return Err(DseError::Spec(format!("unknown network '{}'", e.net)));
             }
             if !(e.weight.is_finite() && e.weight >= 0.0) {

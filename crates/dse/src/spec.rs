@@ -17,6 +17,37 @@ use crate::DseError;
 /// sweep the README runs has 3,844.
 pub const MAX_GRID_POINTS: usize = 1 << 20;
 
+/// The largest value each integer axis of a point may take, named by
+/// its [`DesignPoint`] field. Past them the models' integer arithmetic
+/// can overflow: `2 · MACs · batch` in the achieved throughput,
+/// `pes · depth · 2` in the kMemory capacity, `KB · 1024` in the SRAM
+/// sizes. Every zoo network evaluates at every corner of these bounds.
+pub const AXIS_BOUNDS: [(&str, usize); 5] = [
+    ("pes", 1 << 20),
+    ("kmem_depth", 1 << 16),
+    ("imem_kb", 1 << 20),
+    ("omem_kb", 1 << 20),
+    ("batch", 1 << 16),
+];
+
+/// Checks values of the integer axes, in [`AXIS_BOUNDS`] order, against
+/// their bounds. [`SweepSpec::validate`] checks each axis' largest
+/// value with it, and [`crate::evaluate`] every point.
+///
+/// # Errors
+///
+/// [`DseError::Spec`] naming the first axis past its bound.
+pub(crate) fn check_axis_bounds(values: [usize; 5]) -> Result<(), DseError> {
+    for ((axis, bound), value) in AXIS_BOUNDS.into_iter().zip(values) {
+        if value > bound {
+            return Err(DseError::Spec(format!(
+                "{axis} {value} exceeds its bound {bound}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// One fully-specified candidate accelerator + workload configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
@@ -290,8 +321,9 @@ impl SweepSpec {
         }
     }
 
-    /// Checks that every axis is non-empty and physically sensible, and
-    /// that the grid holds at most [`MAX_GRID_POINTS`] points.
+    /// Checks that every axis is non-empty, physically sensible and
+    /// within its [`AXIS_BOUNDS`], and that the grid holds at most
+    /// [`MAX_GRID_POINTS`] points.
     ///
     /// # Errors
     ///
@@ -347,8 +379,16 @@ impl SweepSpec {
                 "batch 0 holds no images (expected >= 1)".into(),
             ));
         }
+        let largest = |axis: &[usize]| axis.iter().copied().max().unwrap_or(0);
+        check_axis_bounds([
+            largest(&self.pes),
+            largest(&self.kmem_depths),
+            largest(&self.imem_kb),
+            largest(&self.omem_kb),
+            largest(&self.batches),
+        ])?;
         for name in &self.nets {
-            if crate::zoo_constructor(name).is_none() {
+            if crate::ZooNet::find(name).is_none() {
                 return Err(DseError::Spec(format!("unknown network '{name}'")));
             }
         }
@@ -583,6 +623,30 @@ mod tests {
         };
         assert_eq!(at_cap.len(), MAX_GRID_POINTS);
         at_cap.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_refuses_one_past_each_axis_bound() {
+        let spec_with = |axis: usize, values: Vec<usize>| {
+            let mut spec = SweepSpec::paper_point();
+            *[
+                &mut spec.pes,
+                &mut spec.kmem_depths,
+                &mut spec.imem_kb,
+                &mut spec.omem_kb,
+                &mut spec.batches,
+            ][axis] = values;
+            spec
+        };
+        for (i, &(axis, bound)) in AXIS_BOUNDS.iter().enumerate() {
+            spec_with(i, vec![1, bound]).validate().unwrap();
+            let over = spec_with(i, vec![1, bound + 1]).validate();
+            assert!(
+                matches!(&over, Err(DseError::Spec(m))
+                    if m.contains(axis) && m.contains(&bound.to_string())),
+                "{axis}: {over:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! breakdown and sit inside the published 28 nm ballpark (a 16-bit MAC
 //! with pipeline registers ≈ 2 pJ, small SRAM reads 2–4 pJ, distributed
 //! register-file reads with chain-long distribution ≈ 9 pJ).
+//!
+//! [`PowerModel::activity`] gathers those rates in one pass over a
+//! network: each layer's cycles are predicted once and feed both the
+//! run totals and the traffic counts. [`PowerModel::power`] turns the
+//! totals into milliwatts.
 
-use chain_nn_core::perf::{CycleModel, PerfModel};
+use chain_nn_core::perf::{CycleModel, PerfModel, RunTotals};
 use chain_nn_core::{ChainConfig, CoreError};
-use chain_nn_mem::traffic::{totals, TrafficModel};
+use chain_nn_mem::traffic::{TrafficCounts, TrafficModel};
 use chain_nn_mem::MemoryConfig;
 use chain_nn_nets::Network;
 
@@ -118,6 +123,17 @@ impl PowerReport {
     }
 }
 
+/// What a network run does on a configuration: its time and MAC
+/// activity, and its bytes per memory level, summed over every layer
+/// for the whole batch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Activity {
+    /// Batch time, cycles and MACs (paper-calibrated accounting).
+    pub run: RunTotals,
+    /// Bytes per memory level.
+    pub traffic: TrafficCounts,
+}
+
 /// The power model: chain + memories under a workload.
 ///
 /// # Example
@@ -197,24 +213,43 @@ impl PowerModel {
     ///
     /// Propagates mapping errors from the performance/traffic models.
     pub fn network_power(&self, net: &Network, batch: usize) -> Result<PowerReport, CoreError> {
-        let n = batch as f64;
-        // Cycles and MAC activity (paper-calibrated accounting).
-        let mut conv_cycles = 0f64;
-        let mut load_cycles = 0f64;
-        let mut macs = 0f64;
+        Ok(self.power(&self.activity(net, batch)?))
+    }
+
+    /// Runs the performance and traffic models over `net` in one pass:
+    /// each layer's cycles are predicted once, then added to the run
+    /// totals and turned into that layer's traffic.
+    ///
+    /// # Errors
+    ///
+    /// The first layer's mapping error from the performance model, else
+    /// the first from the traffic model: the order of running the
+    /// performance model over every layer before any traffic.
+    pub fn activity(&self, net: &Network, batch: usize) -> Result<Activity, CoreError> {
+        let mut run = RunTotals::new(&self.cfg, batch);
+        let mut traffic = Ok(TrafficCounts::default());
         for spec in net.layers() {
-            let p = self.perf.layer(spec, CycleModel::PaperCalibrated)?;
-            conv_cycles += p.compute_cycles() * n;
-            load_cycles += p.load_cycles as f64;
-            macs += p.macs as f64 * n;
+            let perf = self.perf.layer(spec, CycleModel::PaperCalibrated)?;
+            run.add(&perf);
+            traffic = traffic.and_then(|mut sum| {
+                sum.add(&self.traffic.layer_counts(spec, &perf, batch)?);
+                Ok(sum)
+            });
         }
-        let total_cycles = conv_cycles + load_cycles;
+        Ok(Activity {
+            run,
+            traffic: traffic?,
+        })
+    }
+
+    /// Average power of a run with `activity` on this configuration.
+    pub fn power(&self, activity: &Activity) -> PowerReport {
+        let Activity { run, traffic: t } = activity;
+        let total_cycles = run.cycles();
+        let macs = run.macs();
         let freq_hz = self.cfg.freq_mhz() * 1e6;
         let time_s = total_cycles / freq_hz;
 
-        // Traffic for the same batch.
-        let rows = self.traffic.network_traffic(net, batch)?;
-        let t = totals(&rows);
         let word = self.mem.word_bytes as f64;
         let imem_acc = t.imem_bytes as f64 / word;
         let omem_acc = t.omem_bytes as f64 / word;
@@ -236,7 +271,7 @@ impl PowerModel {
         let dram_mw = mw(dram_words, self.coef.dram_pj_per_word);
 
         let achieved_gops = 2.0 * macs / time_s / 1e9;
-        Ok(PowerReport {
+        PowerReport {
             breakdown: PowerBreakdown {
                 chain_mw,
                 kmem_mw,
@@ -247,7 +282,7 @@ impl PowerModel {
             time_ms: time_s * 1e3,
             peak_gops: self.cfg.peak_gops(),
             achieved_gops,
-        })
+        }
     }
 }
 

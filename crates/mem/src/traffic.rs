@@ -19,18 +19,21 @@
 //!   Reproduces conv2–conv5 within 5 %; for conv1 our tiling needs 2.5×
 //!   *less* traffic than the paper reports.
 
-use chain_nn_core::perf::{CycleModel, PerfModel};
+use chain_nn_core::perf::{CycleModel, LayerPerf, PerfModel};
 use chain_nn_core::{ChainConfig, CoreError, KernelMapping, LayerShape};
 use chain_nn_nets::{ConvLayerSpec, Network};
 
 use crate::dataflow::plan_group;
 use crate::MemoryConfig;
 
-/// Traffic of one layer for a whole batch, in bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LayerTraffic {
-    /// Layer name.
-    pub name: String,
+/// Traffic of one layer (or of a sum of layers) for a whole batch, in
+/// bytes. `N` labels the row: the layer name in the table rows of
+/// [`TrafficModel::network_traffic`], nothing in the [`TrafficCounts`]
+/// a model pass sums, which therefore allocate nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LayerTraffic<N = String> {
+    /// Row label (the layer name, or `"Total"`).
+    pub name: N,
     /// Off-chip DRAM traffic.
     pub dram_bytes: u64,
     /// iMemory reads (SRAM → chain).
@@ -48,26 +51,30 @@ pub struct LayerTraffic {
     pub dram_weight_bytes: u64,
 }
 
+/// Byte counts without a label: what a model pass sums per layer.
+pub type TrafficCounts = LayerTraffic<()>;
+
+impl<N> LayerTraffic<N> {
+    /// Adds `other`'s bytes to this row's.
+    pub fn add<M>(&mut self, other: &LayerTraffic<M>) {
+        self.dram_bytes += other.dram_bytes;
+        self.imem_bytes += other.imem_bytes;
+        self.kmem_bytes += other.kmem_bytes;
+        self.omem_bytes += other.omem_bytes;
+        self.dram_ifmap_bytes += other.dram_ifmap_bytes;
+        self.dram_ofmap_bytes += other.dram_ofmap_bytes;
+        self.dram_weight_bytes += other.dram_weight_bytes;
+    }
+}
+
 /// Sums a set of layer traffics (the "Total" column of Table IV).
 pub fn totals(layers: &[LayerTraffic]) -> LayerTraffic {
     let mut t = LayerTraffic {
         name: "Total".to_owned(),
-        dram_bytes: 0,
-        imem_bytes: 0,
-        kmem_bytes: 0,
-        omem_bytes: 0,
-        dram_ifmap_bytes: 0,
-        dram_ofmap_bytes: 0,
-        dram_weight_bytes: 0,
+        ..LayerTraffic::default()
     };
     for l in layers {
-        t.dram_bytes += l.dram_bytes;
-        t.imem_bytes += l.imem_bytes;
-        t.kmem_bytes += l.kmem_bytes;
-        t.omem_bytes += l.omem_bytes;
-        t.dram_ifmap_bytes += l.dram_ifmap_bytes;
-        t.dram_ofmap_bytes += l.dram_ofmap_bytes;
-        t.dram_weight_bytes += l.dram_weight_bytes;
+        t.add(l);
     }
     t
 }
@@ -102,6 +109,33 @@ impl TrafficModel {
         spec: &ConvLayerSpec,
         batch: usize,
     ) -> Result<LayerTraffic, CoreError> {
+        let perf = self.perf.layer(spec, CycleModel::PaperCalibrated)?;
+        self.row(spec, &perf, batch, spec.name().to_owned())
+    }
+
+    /// Traffic of one layer for `batch` images, from the layer's
+    /// paper-calibrated cycles (`perf`) instead of predicting them
+    /// again: the power model's one pass over a network calls this.
+    ///
+    /// # Errors
+    ///
+    /// Propagates mapping errors for kernels that do not fit the chain.
+    pub fn layer_counts(
+        &self,
+        spec: &ConvLayerSpec,
+        perf: &LayerPerf,
+        batch: usize,
+    ) -> Result<TrafficCounts, CoreError> {
+        self.row(spec, perf, batch, ())
+    }
+
+    fn row<N>(
+        &self,
+        spec: &ConvLayerSpec,
+        perf: &LayerPerf,
+        batch: usize,
+        name: N,
+    ) -> Result<LayerTraffic<N>, CoreError> {
         let n = batch as u64;
         let word = self.mem.word_bytes as u64;
         let e_h = spec.out_h() as u64;
@@ -111,7 +145,6 @@ impl TrafficModel {
         let omem_accesses = 2 * n * spec.m() as u64 * e_h * e_w * spec.c_per_group() as u64;
 
         // Stream cycles per image (paper-calibrated model).
-        let perf = self.perf.layer(spec, CycleModel::PaperCalibrated)?;
         let stream = perf.stream_cycles;
 
         // iMemory: lanes × streaming cycles.
@@ -143,7 +176,7 @@ impl TrafficModel {
         let dram_weights = spec.weights() * word; // once per batch
 
         Ok(LayerTraffic {
-            name: spec.name().to_owned(),
+            name,
             dram_bytes: dram_ifmap + dram_ofmap + dram_weights,
             imem_bytes: (imem_reads * word as f64).round() as u64,
             kmem_bytes: (kmem_reads * word as f64).round() as u64,

@@ -294,19 +294,19 @@ impl Session for &Local {
         // walk the same full grid but keep only the owned points;
         // indices stay *global*, so per-shard frontiers merge into
         // exactly the single-daemon indices.
-        let indexed = spec.indexed_points();
-        let points = indexed.iter().map(|(_, p)| p.clone()).collect();
+        let (indices, points): (Vec<usize>, Vec<DesignPoint>) =
+            spec.indexed_points().into_iter().unzip();
         let start = Instant::now();
         let batch = match self.eval_points(points, None, span) {
             Ok(batch) => batch,
             Err(failure) => return failure.into(),
         };
-        span.points = indexed.len() as u64;
+        span.points = indices.len() as u64;
         let objectives: Vec<(usize, pareto::Objectives)> = batch
             .outcomes
             .iter()
-            .zip(&indexed)
-            .filter_map(|(o, (gi, _))| Some((*gi, pareto::Objectives::from(o.result()?))))
+            .zip(&indices)
+            .filter_map(|(o, &gi)| Some((gi, pareto::Objectives::from(o.result()?))))
             .collect();
         let frontier_3d = pareto::frontier_3d(&objectives);
         let frontier_sqnr = pareto::frontier_accuracy(&objectives);
@@ -327,7 +327,7 @@ impl Session for &Local {
             Vec::new()
         };
         Response::Sweep(SweepSummary {
-            points: indexed.len(),
+            points: indices.len(),
             feasible: objectives.len(),
             cache_hits: batch.hits,
             cache_misses: batch.misses,

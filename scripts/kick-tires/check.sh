@@ -11,11 +11,12 @@ cargo test --workspace -q
 # Release builds wrap on integer overflow and compile out
 # debug_assert!, and the reader does its own index and depth
 # arithmetic; the engine's slot-release test races a worker against
-# its waiter. tests/observability.rs stays out: its release build races
-# a sweep against a timing window.
+# its waiter. The model crates' integer arithmetic and evaluate's
+# pinned outcomes run in release too. tests/observability.rs stays out:
+# its release build races a sweep against a timing window.
 cargo test --release -q -p chain-nn-serve
-cargo test --release -q -p chain-nn-dse --lib
-cargo test --release -q --test protocol_fuzz
+cargo test --release -q -p chain-nn-dse -p chain-nn-core -p chain-nn-mem -p chain-nn-energy --lib
+cargo test --release -q --test protocol_fuzz --test eval_outcomes
 
 cd "$WORK"
 $BIN dse --pes 64..=1024 --threads 8 --out dse.csv

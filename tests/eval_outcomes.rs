@@ -45,7 +45,13 @@ fn sample() -> Vec<DesignPoint> {
     // 8 < 3², 24 < 5², 48 < 7², 100 < 11²: every kernel size meets a
     // chain too short for it.
     let pes = [8, 9, 24, 25, 48, 100, 121, 288, 576, 1000, 2048];
-    let freqs = [700.0, 350.0, 200.0 + 3.0 / 4096.0, 612.5 + 1.0 / 1024.0, 1e3 / 3.0];
+    let freqs = [
+        700.0,
+        350.0,
+        200.0 + 3.0 / 4096.0,
+        612.5 + 1.0 / 1024.0,
+        1e3 / 3.0,
+    ];
     let mut rng = SplitMix(2017);
     (0..SAMPLE)
         .map(|_| DesignPoint {
@@ -107,4 +113,48 @@ fn evaluate_matches_the_pinned_outcomes() {
         differ.len(),
         differ[..differ.len().min(5)].join("\n")
     );
+}
+
+#[test]
+fn every_zoo_network_evaluates_at_the_corners_of_the_axis_bounds() {
+    use chain_nn_repro::dse::spec::AXIS_BOUNDS;
+
+    let [pes, kmem, imem, omem, batch] = AXIS_BOUNDS.map(|(_, bound)| bound);
+    // 121 PEs map AlexNet's 11x11 kernels, the zoo's largest.
+    for net in [
+        "alexnet",
+        "vgg16",
+        "lenet",
+        "cifar10",
+        "resnet18",
+        "mobilenet",
+    ] {
+        for word_bits in [8, 16] {
+            for pes in [121, pes] {
+                for kmem_depth in [1, kmem] {
+                    for imem_kb in [0, imem] {
+                        for omem_kb in [0, omem] {
+                            for batch in [1, batch] {
+                                let point = DesignPoint {
+                                    pes,
+                                    freq_mhz: 700.0,
+                                    kmem_depth,
+                                    imem_kb,
+                                    omem_kb,
+                                    word_bits,
+                                    batch,
+                                    net: net.to_owned(),
+                                };
+                                let outcome = evaluate(&point);
+                                assert!(
+                                    matches!(outcome, Ok(PointOutcome::Feasible(_))),
+                                    "{point}: {outcome:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -413,9 +413,10 @@ fn session_is_robust_and_consistent_with_the_library() {
         }
 
         // Points the models cannot serve — an empty batch, a clock that
-        // overflows them to infinity — are error replies that decode, not
-        // feasible results the wire cannot carry; the session still
-        // evaluates afterwards.
+        // overflows them to infinity, a batch past its axis bound that
+        // overflows their integer arithmetic — are error replies that
+        // decode, not feasible results the wire cannot carry; the
+        // session still evaluates afterwards.
         for bad in [
             chain_nn_repro::dse::DesignPoint {
                 batch: 0,
@@ -423,6 +424,10 @@ fn session_is_robust_and_consistent_with_the_library() {
             },
             chain_nn_repro::dse::DesignPoint {
                 freq_mhz: 1e300,
+                ..paper.clone()
+            },
+            chain_nn_repro::dse::DesignPoint {
+                batch: 100_000_000_000,
                 ..paper.clone()
             },
         ] {
