@@ -77,26 +77,32 @@ impl LayerPerf {
 /// §V.B).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunTotals {
+    /// Batch latency in milliseconds: every layer's convolution and
+    /// kernel-load time.
+    pub total_ms: f64,
+    /// Useful MACs per image.
+    pub macs_per_image: u64,
+    /// Streaming + drain cycles for the whole batch.
+    pub conv_cycles: f64,
+    /// Kernel-load cycles (once per batch).
+    pub load_cycles: f64,
+    /// Useful MACs for the whole batch.
+    pub macs: f64,
     batch: usize,
     freq_hz: f64,
-    total_ms: f64,
-    macs_per_image: u64,
-    conv_cycles: f64,
-    load_cycles: f64,
-    macs: f64,
 }
 
 impl RunTotals {
     /// Empty totals for `batch` images on `cfg`'s clock.
     pub fn new(cfg: &ChainConfig, batch: usize) -> Self {
         RunTotals {
-            batch,
-            freq_hz: cfg.freq_mhz() * 1e6,
             total_ms: 0.0,
             macs_per_image: 0,
             conv_cycles: 0.0,
             load_cycles: 0.0,
             macs: 0.0,
+            batch,
+            freq_hz: cfg.freq_mhz() * 1e6,
         }
     }
 
@@ -115,12 +121,6 @@ impl RunTotals {
         (conv_ms, load_ms)
     }
 
-    /// Batch latency in milliseconds: the sum of every layer's
-    /// convolution and kernel-load times.
-    pub fn total_ms(&self) -> f64 {
-        self.total_ms
-    }
-
     /// Frames per second.
     pub fn fps(&self) -> f64 {
         self.batch as f64 / (self.total_ms / 1e3)
@@ -129,17 +129,6 @@ impl RunTotals {
     /// Achieved throughput in GOPS (2 ops per MAC).
     pub fn gops(&self) -> f64 {
         (2 * self.macs_per_image * self.batch as u64) as f64 / (self.total_ms / 1e3) / 1e9
-    }
-
-    /// Cycles the whole batch keeps the chain busy: convolution plus
-    /// kernel loads.
-    pub fn cycles(&self) -> f64 {
-        self.conv_cycles + self.load_cycles
-    }
-
-    /// Useful MACs for the whole batch.
-    pub fn macs(&self) -> f64 {
-        self.macs
     }
 }
 
@@ -306,7 +295,7 @@ impl PerfModel {
         Ok(NetworkPerf {
             layers,
             batch,
-            total_ms: run.total_ms(),
+            total_ms: run.total_ms,
             fps: run.fps(),
             gops: run.gops(),
         })

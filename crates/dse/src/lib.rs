@@ -100,37 +100,19 @@ pub fn network_by_name(name: &str) -> Option<Network> {
 }
 
 /// One zoo network: its spellings and its constructor.
-struct ZooEntry {
-    aliases: &'static [&'static str],
-    build: fn() -> Network,
-}
+type ZooEntry = (&'static [&'static str], fn() -> Network);
 
 /// The zoo, in [`ZooNet`] order.
 const ZOO: [ZooEntry; 6] = [
-    ZooEntry {
-        aliases: &["alexnet"],
-        build: zoo::alexnet,
-    },
-    ZooEntry {
-        aliases: &["vgg16", "vgg-16"],
-        build: zoo::vgg16,
-    },
-    ZooEntry {
-        aliases: &["lenet", "lenet-5", "mnist"],
-        build: zoo::lenet,
-    },
-    ZooEntry {
-        aliases: &["cifar10", "cifar-10"],
-        build: zoo::cifar10,
-    },
-    ZooEntry {
-        aliases: &["resnet18", "resnet-18"],
-        build: zoo::resnet18,
-    },
-    ZooEntry {
-        aliases: &["mobilenet", "mobilenetv1", "mobilenet-v1"],
-        build: zoo::mobilenet_v1,
-    },
+    (&["alexnet"], zoo::alexnet),
+    (&["vgg16", "vgg-16"], zoo::vgg16),
+    (&["lenet", "lenet-5", "mnist"], zoo::lenet),
+    (&["cifar10", "cifar-10"], zoo::cifar10),
+    (&["resnet18", "resnet-18"], zoo::resnet18),
+    (
+        &["mobilenet", "mobilenetv1", "mobilenet-v1"],
+        zoo::mobilenet_v1,
+    ),
 ];
 
 /// A zoo network, found by any of its spellings. Evaluation and the
@@ -147,7 +129,7 @@ impl ZooNet {
     /// it.
     pub(crate) fn find(name: &str) -> Option<ZooNet> {
         ZOO.iter()
-            .position(|entry| entry.aliases.iter().any(|a| a.eq_ignore_ascii_case(name)))
+            .position(|(aliases, _)| aliases.iter().any(|a| a.eq_ignore_ascii_case(name)))
             .map(ZooNet)
     }
 
@@ -160,7 +142,7 @@ impl ZooNet {
     pub(crate) fn network(self) -> &'static Network {
         static BUILT: [OnceLock<Network>; ZooNet::COUNT] =
             [const { OnceLock::new() }; ZooNet::COUNT];
-        BUILT[self.0].get_or_init(ZOO[self.0].build)
+        BUILT[self.0].get_or_init(ZOO[self.0].1)
     }
 }
 

@@ -245,8 +245,8 @@ impl PowerModel {
     /// Average power of a run with `activity` on this configuration.
     pub fn power(&self, activity: &Activity) -> PowerReport {
         let Activity { run, traffic: t } = activity;
-        let total_cycles = run.cycles();
-        let macs = run.macs();
+        let total_cycles = run.conv_cycles + run.load_cycles;
+        let macs = run.macs;
         let freq_hz = self.cfg.freq_mhz() * 1e6;
         let time_s = total_cycles / freq_hz;
 
