@@ -222,9 +222,10 @@ impl PowerModel {
     ///
     /// # Errors
     ///
-    /// The first layer's mapping error from the performance model, else
-    /// the first from the traffic model: the order of running the
-    /// performance model over every layer before any traffic.
+    /// The performance model's mapping error in any layer, else the
+    /// traffic model's in the first layer that has one: the precedence
+    /// of running the performance model over every layer before any
+    /// traffic.
     pub fn activity(&self, net: &Network, batch: usize) -> Result<Activity, CoreError> {
         let mut run = RunTotals::new(&self.cfg, batch);
         let mut traffic = Ok(TrafficCounts::default());
