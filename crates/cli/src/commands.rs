@@ -38,11 +38,9 @@ const MODEL: [&str; 5] = ["net", "batch", "pes", "freq", "kmemory"];
 
 /// The `serve` flags only an evaluating daemon reads; a coordinator
 /// refuses them.
-const DAEMON_ONLY: [&str; 11] = [
+const DAEMON_ONLY: [&str; 9] = [
     "threads",
     "queue",
-    "batch",
-    "claim",
     "cache-cap",
     "cache-file",
     "trace-log",
@@ -219,16 +217,14 @@ auto-tuner:
 
 explorer daemon:
   serve    [--port 7878] [--host 127.0.0.1] [--threads N] [--queue 16]
-           [--batch 32] [--claim adaptive|fixed] [--max-connections 64]
-           [--cache-cap POINTS] [--cache-file FILE]
+           [--max-connections 64] [--cache-cap POINTS] [--cache-file FILE]
            [--trace-log FILE] [--trace-cap-mb 64] [--slow-log-us N]
            [--sample-interval-ms 250] [--slo eval:p99_us=500,...]
            long-lived explorer sharing one memo cache across clients
-           over a line-delimited JSON protocol; --batch caps the points
-           one worker claims per turn and --claim picks the sizing
-           policy (adaptive shrinks claims while interactive evals wait
-           behind a sweep; fixed always claims --batch, the pre-engine
-           behavior); --cache-file persists
+           over a line-delimited JSON protocol; --threads workers claim
+           points from every admitted request, in small claims while
+           interactive evals wait behind a sweep; --queue bounds the
+           admitted requests (busy beyond it); --cache-file persists
            evaluations across restarts (loaded at startup, appended on
            completed requests and shutdown); --max-connections answers
            busy at the accept loop beyond the bound; --cache-cap bounds
@@ -879,26 +875,16 @@ fn compact_cmd(flags: &Flags) -> CmdResult {
 }
 
 fn serve_cmd(flags: &Flags) -> CmdResult {
-    use chain_nn_serve::scheduler::ClaimPolicy;
     // A shard list turns this process into a cluster coordinator
     // instead of an evaluating daemon.
     if flags.get_str("shards").is_some() || flags.get_or("coordinator", false)? {
         return coordinator_cmd(flags);
     }
-    let batch = flags
-        .get_or("batch", chain_nn_serve::scheduler::BATCH_SIZE)?
-        .max(1);
-    let claim = match flags.get_str("claim").unwrap_or("adaptive") {
-        "adaptive" => ClaimPolicy::Adaptive { max: batch },
-        "fixed" => ClaimPolicy::Fixed(batch),
-        other => return Err(format!("--claim must be adaptive or fixed, got '{other}'").into()),
-    };
     let config = chain_nn_serve::ServerConfig {
         host: flags.get_str("host").unwrap_or("127.0.0.1").to_owned(),
         port: flags.get_or("port", 7878u16)?,
         threads: flags.get_or("threads", executor::default_threads())?,
         queue_capacity: flags.get_or("queue", 16usize)?,
-        claim,
         max_connections: flags.get_or("max-connections", 64usize)?,
         cache_capacity: opt_flag(flags, "cache-cap")?,
         cache_file: flags.get_str("cache-file").map(std::path::PathBuf::from),
@@ -916,6 +902,7 @@ fn serve_cmd(flags: &Flags) -> CmdResult {
             Some(text) => chain_nn_serve::slo::SloSpec::parse_list(text)?,
         },
         slow_log_us: opt_flag(flags, "slow-log-us")?,
+        ..chain_nn_serve::ServerConfig::default()
     };
     let persistent = config.cache_file.is_some();
     let threads = config.threads;

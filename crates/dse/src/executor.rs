@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::cache::PointCache;
-use crate::engine::{ClaimPolicy, Engine, EngineMetrics, TraceRef};
+use crate::engine::{ClaimPolicy, Engine, TraceRef};
 use crate::eval::{evaluate, PointOutcome};
 use crate::spec::DesignPoint;
 use crate::DseError;
@@ -26,27 +26,18 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Evaluates one point through `cache`: answer from memory when
-/// present, otherwise evaluate and memoize. This is the single
-/// evaluation step both the sweep executor below and the serving
-/// daemon's batch scheduler (`chain-nn-serve`) are built from.
+/// Evaluates one point through `cache`: answers from memory when
+/// present, otherwise evaluates and memoizes. Also reports whether the
+/// answer came from the cache (`true` = hit): callers that serve
+/// several clients off one cache (the daemon) need the per-call answer,
+/// because deltas of the global counters cross-contaminate between
+/// concurrent requests. This is the evaluation step every claim of the
+/// work-assisting engine runs.
 ///
 /// # Errors
 ///
 /// Propagates spec-level evaluation errors (unknown network, invalid
 /// chain parameters); infeasibility is data, not an error.
-pub fn evaluate_cached(point: &DesignPoint, cache: &PointCache) -> Result<PointOutcome, DseError> {
-    Ok(evaluate_cached_tracked(point, cache)?.0)
-}
-
-/// [`evaluate_cached`], also reporting whether the answer came from the
-/// cache (`true` = hit). Callers that serve several clients off one
-/// cache (the daemon) need the per-call answer: deltas of the global
-/// counters cross-contaminate between concurrent requests.
-///
-/// # Errors
-///
-/// Same contract as [`evaluate_cached`].
 pub fn evaluate_cached_tracked(
     point: &DesignPoint,
     cache: &PointCache,
@@ -116,15 +107,11 @@ pub fn run(
     // job is fully claimed. Claim metrics land in the global registry
     // under the `dse` prefix (`dse_batch_eval_ns`, `dse_claim_points`,
     // `dse_batches_total`, `dse_points_total`).
-    let engine = Engine::with_metrics(
-        1,
-        ClaimPolicy::adaptive(),
-        EngineMetrics::register(obs, "dse"),
-        "chunk",
-    );
+    let engine = Engine::new(1, ClaimPolicy::adaptive(), obs, "dse", "chunk");
     let handle = engine
-        .submit_traced(
+        .submit(
             points.to_vec(),
+            None,
             trace.map(|(trace_id, root)| TraceRef {
                 trace_id,
                 parent_span: root,
@@ -133,12 +120,12 @@ pub fn run(
         .expect("a fresh engine admits its first job");
     engine.begin_shutdown();
     if threads == 1 {
-        engine.worker_loop(cache);
+        engine.worker_loop(0, cache);
     } else {
         std::thread::scope(|scope| {
             for w in 0..threads {
                 let engine = &engine;
-                scope.spawn(move || engine.worker_loop_indexed(w as u32, cache));
+                scope.spawn(move || engine.worker_loop(w as u32, cache));
             }
         });
     }
@@ -292,6 +279,55 @@ mod tests {
         let mut points = small_grid();
         points[1].net = "notanet".into();
         assert!(run(&points, 2, &PointCache::new()).is_err());
+    }
+
+    #[test]
+    fn a_sweep_records_dse_metrics_and_a_chunk_timeline() {
+        // 11 PE counts x 2 clocks: a point count no other test here
+        // sweeps, so this run's root is the one `dse_run` span with it.
+        let points = SweepSpec {
+            pes: (1..=11).map(|i| i * 48).collect(),
+            freqs_mhz: vec![350.0, 700.0],
+            nets: vec!["lenet".into()],
+            ..SweepSpec::paper_point()
+        }
+        .points();
+        let n = points.len() as u64;
+        let obs = chain_nn_obs::global();
+        let before = obs.snapshot();
+        run(&points, 2, &PointCache::new()).unwrap();
+        let after = obs.snapshot();
+
+        // Other tests sweep through the same global registry at the
+        // same time, so the deltas are lower bounds.
+        let counter = |s: &chain_nn_obs::Snapshot, name| s.counter(name, &[]).unwrap_or(0);
+        let claims = |s: &chain_nn_obs::Snapshot| {
+            s.histogram("dse_claim_points", &[])
+                .map_or((0, 0), |h| (h.count, h.sum))
+        };
+        assert!(counter(&after, "dse_points_total") - counter(&before, "dse_points_total") >= n);
+        assert!(counter(&after, "dse_batches_total") > counter(&before, "dse_batches_total"));
+        let ((count_before, sum_before), (count_after, sum_after)) =
+            (claims(&before), claims(&after));
+        assert!(count_after > count_before);
+        assert!(sum_after - sum_before >= n);
+
+        // The run's root span, and one `chunk` child per claim, each on
+        // a worker's timeline row, covering every point once.
+        let spans = chain_nn_obs::trace::spans().snapshot();
+        let root = spans
+            .iter()
+            .find(|s| s.name == "dse_run" && s.parent_id == 0 && u64::from(s.points) == n)
+            .expect("the sweep's root span");
+        let chunks: Vec<_> = spans
+            .iter()
+            .filter(|s| s.trace_id == root.trace_id && s.parent_id == root.span_id)
+            .collect();
+        assert!(!chunks.is_empty());
+        assert!(chunks
+            .iter()
+            .all(|s| s.name == "chunk" && s.worker.is_some()));
+        assert_eq!(chunks.iter().map(|s| u64::from(s.points)).sum::<u64>(), n);
     }
 
     #[test]

@@ -8,20 +8,21 @@
 //! a coordinator that fans them out to shard daemons: evaluating one
 //! point or a point list, a sweep, the frontier's candidate entries,
 //! their half of `stats`, the post-request flush and shutdown. Two
-//! implement them: [`Local`] here (the scheduler over one shared cache
-//! and its cache file) and the shard fan-out in [`crate::cluster`].
+//! implement them: [`Local`] here (the work-assisting engine over one
+//! shared cache and its cache file) and the shard fan-out in
+//! [`crate::cluster`].
 
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread::Scope;
 use std::time::Instant;
 
+use chain_nn_dse::engine::{AdmissionSlot, Engine, SubmitError};
 use chain_nn_dse::{pareto, CacheFile, DesignPoint, DseError, PointCache, PointOutcome, SweepSpec};
 use chain_nn_obs::Registry;
 use chain_nn_tuner::TuneError;
 
 use crate::protocol::{FrontierEntry, Response, ServerStats, SweepSummary};
-use crate::scheduler::{AdmissionSlot, JobResult, Scheduler, SubmitError};
 use crate::server::{RequestSpan, ServerConfig};
 
 /// The process-wide half of a backend. The defaults describe a backend
@@ -137,13 +138,17 @@ impl From<Failure> for TuneError {
     }
 }
 
-/// The evaluating backend: one [`Scheduler`] over the shared
-/// [`PointCache`], and the cache file that persists it. With a file
-/// attached, the cache is replayed at open and every completed
-/// request's fresh evaluations are appended, so a restarted daemon
-/// re-serves prior sweeps without a single model evaluation.
+/// The evaluating backend: the work-assisting [`Engine`] over the
+/// shared [`PointCache`], and the cache file that persists it. Every
+/// admitted request is an engine job, so the worker pool serves all
+/// sessions' point lists and concurrent clients pay for each distinct
+/// point once. With a file attached, the cache is replayed at open and
+/// every completed request's fresh evaluations are appended, so a
+/// restarted daemon re-serves prior sweeps without a single model
+/// evaluation.
 pub(crate) struct Local {
-    scheduler: Scheduler,
+    engine: Engine,
+    cache: PointCache,
     cache_file: Option<CacheFile>,
     /// Serializes flushes so concurrent batch completions do not
     /// interleave appends.
@@ -154,7 +159,8 @@ pub(crate) struct Local {
 
 impl Local {
     /// Builds the cache (replaying the cache file when configured) and
-    /// the scheduler, whose claim metrics land in `registry`.
+    /// the engine, whose claim metrics land in `registry` as `sched_*`
+    /// and whose claim spans are `batch` spans.
     ///
     /// # Errors
     ///
@@ -162,17 +168,24 @@ impl Local {
     /// — it loads to its valid prefix — but an unreadable one, or one
     /// with a foreign magic line, is).
     pub(crate) fn open(config: &ServerConfig, registry: &Registry) -> io::Result<Local> {
-        let cache = Arc::new(match config.cache_capacity {
+        let cache = match config.cache_capacity {
             Some(capacity) => PointCache::bounded(capacity),
             None => PointCache::new(),
-        });
+        };
         let cache_file = config.cache_file.as_ref().map(CacheFile::new);
         let mut loaded_from_disk = 0;
         if let Some(file) = &cache_file {
             loaded_from_disk = file.load_into(&cache)?.loaded;
         }
         Ok(Local {
-            scheduler: Scheduler::with_policy(cache, config.queue_capacity, config.claim, registry),
+            engine: Engine::new(
+                config.queue_capacity,
+                config.claim,
+                registry,
+                "sched",
+                "batch",
+            ),
+            cache,
             cache_file,
             flush_lock: Mutex::new(()),
             threads: config.threads.max(1),
@@ -184,16 +197,16 @@ impl Local {
 impl Backend for Local {
     fn run_workers<'s>(&'s self, scope: &'s Scope<'s, '_>) {
         for worker in 0..self.threads {
-            scope.spawn(move || self.scheduler.worker_loop_indexed(worker as u32));
+            scope.spawn(move || self.engine.worker_loop(worker as u32, &self.cache));
         }
     }
 
     fn begin_shutdown(&self) {
-        self.scheduler.begin_shutdown();
+        self.engine.begin_shutdown();
     }
 
     fn admit(&self) -> Result<Option<AdmissionSlot<'_>>, SubmitError> {
-        self.scheduler.admit().map(Some)
+        self.engine.admit().map(Some)
     }
 
     /// Appends the cache's dirty journal to the snapshot file. Called
@@ -201,7 +214,7 @@ impl Backend for Local {
     /// more at shutdown.
     fn flush(&self) -> io::Result<usize> {
         let _guard = self.flush_lock.lock().expect("flush lock poisoned");
-        let cache = self.scheduler.cache();
+        let cache = &self.cache;
         match &self.cache_file {
             Some(file) => file.flush_dirty(cache),
             None => {
@@ -216,19 +229,19 @@ impl Backend for Local {
     }
 
     fn counters(&self) -> ServerStats {
-        let cache = self.scheduler.cache();
+        let cache = &self.cache;
         let stats = cache.stats();
         ServerStats {
             cached_points: cache.len(),
             hits: stats.hits,
             misses: stats.misses,
             hit_rate: stats.hit_rate(),
-            active_jobs: self.scheduler.active_jobs(),
-            queue_capacity: self.scheduler.capacity(),
+            active_jobs: self.engine.active_jobs(),
+            queue_capacity: self.engine.capacity(),
             threads: self.threads,
             loaded_from_disk: self.loaded_from_disk,
             persistent: self.cache_file.is_some(),
-            queue_depth: self.scheduler.queue_depth(),
+            queue_depth: self.engine.queue_depth(),
             ..ServerStats::default()
         }
     }
@@ -241,15 +254,13 @@ impl Backend for Local {
 impl Session for &Local {
     fn eval(&mut self, point: DesignPoint, span: &mut RequestSpan) -> Response {
         // Cache-hit fast path: a memoized point is answered inline. The
-        // scheduler round trip (submit, wake a worker, wake the session)
+        // engine round trip (submit, wake a worker, wake the session)
         // costs tens of microseconds of handoff — more than the lookup
         // itself — and would serialize a pipelined client's cached
-        // evals behind it.
-        if let Some(outcome) = self.scheduler.cache().probe(&point) {
-            span.absorb_job(&JobResult {
-                cache_hits: 1,
-                ..JobResult::default()
-            });
+        // evals behind it. The hit runs no job, so the span counts it
+        // without a job's queue-wait and execute time.
+        if let Some(outcome) = self.cache.probe(&point) {
+            span.cache_hits += 1;
             span.points = 1;
             return Response::Eval { point, outcome };
         }
@@ -271,17 +282,15 @@ impl Session for &Local {
         slot: Option<&AdmissionSlot<'_>>,
         span: &mut RequestSpan,
     ) -> Result<Evaluated, Failure> {
-        let trace = span.trace_ref();
-        let handle = match slot {
-            Some(slot) => self.scheduler.submit_in_traced(slot, points, trace),
-            None => self.scheduler.submit_traced(points, trace),
-        }
-        .map_err(Failure::Refused)?;
+        let handle = self
+            .engine
+            .submit(points, slot, span.trace_ref())
+            .map_err(Failure::Refused)?;
         let job = handle.wait().map_err(Failure::Eval)?;
         span.absorb_job(&job);
         Ok(Evaluated {
             outcomes: job.outcomes,
-            // Per-job counters from the scheduler: global cache deltas
+            // Per-job counters from the engine: global cache deltas
             // would also count the other clients' concurrent traffic.
             hits: job.cache_hits,
             misses: job.cache_misses,
@@ -341,8 +350,7 @@ impl Session for &Local {
 
     fn frontier_entries(&mut self, _dims: u8, _sqnr: bool) -> (Vec<FrontierEntry>, bool) {
         let entries = self
-            .scheduler
-            .cache()
+            .cache
             .entries()
             .into_iter()
             .filter_map(|(point, outcome)| {
@@ -361,7 +369,7 @@ mod tests {
     #[test]
     fn flush_without_a_cache_file_or_a_cap_drops_the_journal() {
         let local = Local::open(&ServerConfig::default(), &Registry::new()).expect("open");
-        let cache = local.scheduler.cache();
+        let cache = &local.cache;
         cache.insert(
             &DesignPoint::paper_alexnet(),
             PointOutcome::Infeasible("journaled".into()),

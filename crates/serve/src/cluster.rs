@@ -31,13 +31,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use chain_nn_dse::engine::AdmissionSlot;
 use chain_nn_dse::{pareto, DesignPoint, PointOutcome, SweepPart, SweepSpec};
 use chain_nn_obs::{Counter, Gauge, Registry};
 
 use crate::backend::{Backend, Evaluated, Failure, Session};
 use crate::client::{Client, ClientError};
 use crate::protocol::{FrontierEntry, Request, Response, ServerStats, ShardStat, SweepSummary};
-use crate::scheduler::AdmissionSlot;
 use crate::server::{RequestSpan, Server, ServerConfig, ServerReport};
 
 /// How many times a `busy` shard is retried before it is degraded.

@@ -22,23 +22,21 @@
 //! * [`slo`] — latency service-level objectives (`eval:p99_us=500`)
 //!   evaluated every sampler tick over the trailing 10 s window, with
 //!   per-SLO compliance and error-budget gauges in the registry.
-//! * [`scheduler`] — the daemon's binding of the work-assisting
-//!   engine (`chain_nn_dse::engine`): per-request point lists with
-//!   atomic claim cursors, adaptive claim sizes (big for a lone
-//!   sweep, 1–4 points while interactive evals wait), bounded
-//!   admission with an explicit `busy` reply as backpressure.
-//!   Iterative requests (the auto-tuner) hold one admission slot
-//!   across their rounds ([`scheduler::AdmissionSlot`]) while each
-//!   round interleaves with everyone else's sweeps.
 //! * [`server`] — the one session layer: `std::net::TcpListener`
 //!   accept loop, connection bound, session threads, request spans and
 //!   metrics, the sampler, and one function per request type (std-only:
 //!   the build environment has no async runtime, and a worker pool over
 //!   blocking sockets serves this protocol fine). Behind it, a backend
-//!   answers what differs between evaluating and fanning out: the local
-//!   one is the scheduler's worker pool over the shared cache, with
-//!   cache-file replay at startup and append-flush on completed
-//!   requests and shutdown.
+//!   answers what differs between evaluating and fanning out. The
+//!   local one runs every request as a job of the work-assisting engine
+//!   ([`chain_nn_dse::engine`]) over the shared cache: per-request point
+//!   lists with atomic claim cursors, adaptive claim sizes (big for a
+//!   lone sweep, 1–4 points while interactive evals wait), and bounded
+//!   admission with an explicit `busy` reply as backpressure. Iterative
+//!   requests (the auto-tuner) hold one admission slot across their
+//!   rounds while each round interleaves with everyone else's sweeps.
+//!   It replays the cache file at startup and appends to it on
+//!   completed requests and shutdown.
 //! * [`cluster`] — the cluster coordinator: the same session layer over
 //!   a backend that routes points to shard daemons by content hash,
 //!   fans sweeps, frontiers, batches and tune rounds out, and merges
@@ -89,7 +87,6 @@ pub mod client;
 pub mod cluster;
 pub mod json;
 pub mod protocol;
-pub mod scheduler;
 pub mod server;
 pub mod slo;
 mod wire;

@@ -5,9 +5,10 @@
 //! Each accepted connection gets a session thread that reads request
 //! lines, decodes them, and writes response lines. What a request is
 //! answered *with* is a backend's business: a [`Server`] from
-//! [`Server::bind`] evaluates on its own scheduler over one shared
+//! [`Server::bind`] evaluates on its own work-assisting engine
+//! ([`chain_nn_dse::engine`]) over one shared
 //! [`PointCache`](chain_nn_dse::PointCache) and cache file, where
-//! batches from all sessions interleave fairly; a
+//! claims from all sessions interleave fairly; a
 //! [`crate::cluster::Coordinator`] is the same session layer over a
 //! fan-out to shard daemons.
 //!
@@ -23,6 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
+use chain_nn_dse::engine::{ClaimPolicy, JobResult, TraceRef};
 use chain_nn_dse::{pareto, DesignPoint};
 use chain_nn_obs::timeseries::{TimeSeries, Window};
 use chain_nn_obs::trace::{self as obs_trace, TraceContext};
@@ -35,7 +37,6 @@ use crate::protocol::{
     FrontierDoneSummary, FrontierStepSummary, HistoryTypeWindow, HistoryWindow, MetricsHistory,
     Request, Response, ServerStats, TuneSummary, WatchSample,
 };
-use crate::scheduler::{ClaimPolicy, JobResult, TraceRef, BATCH_SIZE};
 use crate::slo::{SloSpec, SloTracker};
 use crate::wire::{wire_struct, Tagged, Wire};
 
@@ -53,12 +54,13 @@ pub struct ServerConfig {
     /// Admission bound: concurrent jobs beyond this get `busy`.
     pub queue_capacity: usize,
     /// How many points one scheduling turn claims. The default
-    /// adapts to traffic ([`ClaimPolicy::Adaptive`] up to
-    /// [`BATCH_SIZE`]): big claims while one sweep owns the queue,
-    /// [`crate::scheduler::CONTENDED_CLAIM`]-sized ones while
-    /// interactive evals wait behind it. [`ClaimPolicy::Fixed`]
-    /// restores the pre-engine fixed-batch behavior (the mixed-traffic
-    /// bench's comparison baseline).
+    /// adapts to traffic ([`ClaimPolicy::adaptive`]): big claims while
+    /// one sweep owns the queue,
+    /// [`CONTENDED_CLAIM`](chain_nn_dse::engine::CONTENDED_CLAIM)-sized
+    /// ones while interactive evals wait behind it.
+    /// [`ClaimPolicy::Fixed`] restores the pre-engine fixed-batch
+    /// behavior: the reference the mixed-traffic latency test
+    /// (`tests/mixed_traffic.rs`) compares the default against.
     pub claim: ClaimPolicy,
     /// Connection bound: accepted sockets beyond this are answered
     /// `busy` and closed at the accept loop, pairing with the
@@ -106,7 +108,7 @@ impl Default for ServerConfig {
             port: 0,
             threads: chain_nn_dse::executor::default_threads(),
             queue_capacity: 16,
-            claim: ClaimPolicy::Adaptive { max: BATCH_SIZE },
+            claim: ClaimPolicy::adaptive(),
             max_connections: 64,
             cache_capacity: None,
             cache_file: None,
@@ -134,7 +136,7 @@ pub struct ServerReport {
 }
 
 struct Shared {
-    /// What requests are answered with: the local scheduler and cache,
+    /// What requests are answered with: the local engine and cache,
     /// or the shard fan-out.
     backend: Box<dyn Backend>,
     requests: AtomicU64,
@@ -295,8 +297,9 @@ pub(crate) struct RequestSpan {
     /// Points evaluated (or tuner evaluations) on behalf of this
     /// request.
     pub(crate) points: u64,
-    /// Per-job cache hits attributed to this request.
-    cache_hits: u64,
+    /// Cache hits attributed to this request: its jobs' own, plus an
+    /// `eval` answered inline from the cache.
+    pub(crate) cache_hits: u64,
     /// Per-job cache misses attributed to this request.
     cache_misses: u64,
     /// The client's pipelining id (`"req"`), echoed on every reply
@@ -1525,7 +1528,11 @@ mod tests {
         let execute = snapshot
             .histogram("serve_execute_ns", eval_labels)
             .expect("eval execute histogram");
-        assert_eq!(execute.count, 3);
+        assert_eq!(execute.count, 1);
+        let queue_wait = snapshot
+            .histogram("serve_queue_wait_ns", eval_labels)
+            .expect("eval queue-wait histogram");
+        assert_eq!(queue_wait.count, 1);
         // The scheduler-side metrics live in the same (private)
         // registry: the first (cold) eval + the 2-point sweep → 3
         // scheduled points; the two warm repeat evals were answered
@@ -1570,16 +1577,27 @@ mod tests {
                 handle_instrumented("not json", &shared),
                 RequestOutcome::Reply(r, false) if matches!(*r, Response::Error { .. })
             ));
+            // The same point again: a hit answered inline, no job.
+            assert!(matches!(
+                handle_instrumented(eval, &shared),
+                RequestOutcome::Reply(r, false) if matches!(*r, Response::Eval { .. })
+            ));
         });
         let trace = std::fs::read_to_string(&path).expect("trace file");
         let lines: Vec<&str> = trace.lines().collect();
-        assert_eq!(lines.len(), 2, "{trace}");
+        assert_eq!(lines.len(), 3, "{trace}");
         assert!(lines[0].contains("\"type\":\"eval\"") && lines[0].contains("\"status\":\"ok\""));
         assert!(lines[0].contains("\"queue_wait_us\":") && lines[0].contains("\"execute_us\":"));
         assert!(lines[0].contains("\"jobs\":1") && lines[0].contains("\"points\":1"));
         assert!(
             lines[1].contains("\"type\":\"parse_error\"")
                 && lines[1].contains("\"status\":\"error\"")
+        );
+        assert!(lines[2].contains("\"type\":\"eval\"") && lines[2].contains("\"status\":\"ok\""));
+        assert!(
+            lines[2].contains("\"jobs\":0")
+                && lines[2].contains("\"points\":1")
+                && lines[2].contains("\"cache_hits\":1")
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

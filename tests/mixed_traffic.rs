@@ -10,14 +10,13 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
+use chain_nn_repro::dse::engine::{ClaimPolicy, Engine, DEFAULT_MAX_CLAIM};
 use chain_nn_repro::dse::{executor, DesignPoint, PointCache, SweepSpec};
 use chain_nn_repro::obs::trace::TraceContext;
 use chain_nn_repro::obs::Registry;
 use chain_nn_repro::serve::protocol::Response;
-use chain_nn_repro::serve::scheduler::{ClaimPolicy, Scheduler, BATCH_SIZE};
 use chain_nn_repro::serve::{Client, Server, ServerConfig, ServerReport};
 use chain_nn_repro::tuner::{tune, Budget, CacheEvaluator, TuneRequest};
 
@@ -139,16 +138,18 @@ fn eval_queue_wait_p99_under_sweep(claim: ClaimPolicy) -> (f64, usize) {
 /// than half of the fixed-batch baseline's. Under `Fixed(32)` an eval
 /// waits for a worker to drain a whole 32-point claim; under the
 /// adaptive policy the sweep's claims shrink to
-/// [`CONTENDED_CLAIM`](chain_nn_repro::serve::scheduler::CONTENDED_CLAIM)-sized
+/// [`CONTENDED_CLAIM`](chain_nn_repro::dse::engine::CONTENDED_CLAIM)-sized
 /// ranges while the pump runs. Timing-sensitive, so three attempts
 /// before declaring failure.
 #[test]
 fn adaptive_claims_cut_eval_p99_versus_fixed_batches_during_a_sweep() {
     let mut last = String::new();
     for _ in 0..3 {
-        let (fixed_p99, fixed_n) = eval_queue_wait_p99_under_sweep(ClaimPolicy::Fixed(BATCH_SIZE));
-        let (adaptive_p99, adaptive_n) =
-            eval_queue_wait_p99_under_sweep(ClaimPolicy::Adaptive { max: BATCH_SIZE });
+        let (fixed_p99, fixed_n) =
+            eval_queue_wait_p99_under_sweep(ClaimPolicy::Fixed(DEFAULT_MAX_CLAIM));
+        let (adaptive_p99, adaptive_n) = eval_queue_wait_p99_under_sweep(ClaimPolicy::Adaptive {
+            max: DEFAULT_MAX_CLAIM,
+        });
         last = format!(
             "fixed queue-wait p99 {:.0} us over {fixed_n} evals, \
              adaptive {:.0} us over {adaptive_n} evals",
@@ -157,7 +158,7 @@ fn adaptive_claims_cut_eval_p99_versus_fixed_batches_during_a_sweep() {
         );
         // Enough samples for a meaningful p99 on both sides, and at
         // least a 2x improvement (the policy predicts ~8x: waits of
-        // ~CONTENDED_CLAIM points instead of ~BATCH_SIZE points).
+        // ~CONTENDED_CLAIM points instead of ~DEFAULT_MAX_CLAIM points).
         if fixed_n >= 50 && adaptive_n >= 50 && adaptive_p99 * 2.0 <= fixed_p99 {
             return;
         }
@@ -314,21 +315,24 @@ fn sweep_serve_and_tune_results_are_identical_at_1_2_4_and_16_threads() {
     }
 
     for workers in [1u32, 2, 4, 16] {
-        let cache = Arc::new(PointCache::new());
+        let cache = PointCache::new();
         let registry = Registry::new();
-        let scheduler = Scheduler::with_policy(
-            Arc::clone(&cache),
+        let scheduler = Engine::new(
             4,
-            ClaimPolicy::Adaptive { max: BATCH_SIZE },
+            ClaimPolicy::Adaptive {
+                max: DEFAULT_MAX_CLAIM,
+            },
             &registry,
+            "sched",
+            "batch",
         );
         let outcomes = std::thread::scope(|scope| {
-            let scheduler = &scheduler;
+            let (scheduler, cache) = (&scheduler, &cache);
             for w in 0..workers {
-                scope.spawn(move || scheduler.worker_loop_indexed(w));
+                scope.spawn(move || scheduler.worker_loop(w, cache));
             }
             let result = scheduler
-                .submit(points.clone())
+                .submit(points.clone(), None, None)
                 .expect("admitted")
                 .wait()
                 .expect("job completes");
@@ -371,10 +375,9 @@ fn sweep_serve_and_tune_results_are_identical_at_1_2_4_and_16_threads() {
 fn tiny_claims_under_16_job_contention_reconcile_with_counters() {
     const JOBS: usize = 16;
     const POINTS: usize = 13;
-    let cache = Arc::new(PointCache::new());
+    let cache = PointCache::new();
     let registry = Registry::new();
-    let scheduler =
-        Scheduler::with_policy(Arc::clone(&cache), JOBS, ClaimPolicy::Fixed(1), &registry);
+    let scheduler = Engine::new(JOBS, ClaimPolicy::Fixed(1), &registry, "sched", "batch");
     let jobs: Vec<Vec<DesignPoint>> = (0..JOBS)
         .map(|j| {
             (0..POINTS)
@@ -388,13 +391,17 @@ fn tiny_claims_under_16_job_contention_reconcile_with_counters() {
     let total = (JOBS * POINTS) as u64; // 208
 
     let results = std::thread::scope(|scope| {
-        let scheduler = &scheduler;
+        let (scheduler, cache) = (&scheduler, &cache);
         let handles: Vec<_> = jobs
             .iter()
-            .map(|points| scheduler.submit(points.clone()).expect("admitted"))
+            .map(|points| {
+                scheduler
+                    .submit(points.clone(), None, None)
+                    .expect("admitted")
+            })
             .collect();
         for w in 0..8u32 {
-            scope.spawn(move || scheduler.worker_loop_indexed(w));
+            scope.spawn(move || scheduler.worker_loop(w, cache));
         }
         let results: Vec<_> = handles
             .into_iter()
@@ -415,7 +422,6 @@ fn tiny_claims_under_16_job_contention_reconcile_with_counters() {
         delivered += result.outcomes.len() as u64;
     }
     assert_eq!(delivered, total);
-    assert_eq!(scheduler.completed_points(), total);
     assert_eq!(scheduler.queue_depth(), 0);
     let snapshot = registry.snapshot();
     assert_eq!(snapshot.counter("sched_points_total", &[]), Some(total));
