@@ -260,4 +260,133 @@ mod tests {
         assert!(dominates_2d(&obj(10.0, 99.0, 999.0), &a));
         assert!(!dominates_3d(&obj(10.0, 99.0, 999.0), &a));
     }
+
+    /// The all-pairs scan: a point is on the frontier unless some entry
+    /// with another index dominates it. The oracle every frontier must
+    /// equal.
+    fn all_pairs(
+        objectives: &[(usize, Objectives)],
+        dominates: fn(&Objectives, &Objectives) -> bool,
+    ) -> Vec<usize> {
+        objectives
+            .iter()
+            .filter(|(i, oi)| !objectives.iter().any(|(j, oj)| j != i && dominates(oj, oi)))
+            .map(|(i, _)| *i)
+            .collect()
+    }
+
+    /// splitmix64: the property cases' deterministic stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+    }
+
+    /// Axis values: few enough that ties, duplicates and single-axis
+    /// equalities are common, with both zeros and an infinity.
+    const VALUES: [f64; 7] = [0.0, -0.0, 1.0, 2.0, 2.5, 3.0, f64::INFINITY];
+
+    /// Case `case`'s set: 1–64 points with distinct indices, shuffled
+    /// in every third case. Cases 1–4 mod 5 put a NaN on axis 0–3
+    /// (fps, power, area, SQNR) of one or two points.
+    fn random_set(rng: &mut Rng, case: usize) -> Vec<(usize, Objectives)> {
+        let n = 1 + rng.below(64);
+        let mut set: Vec<(usize, Objectives)> = (0..n)
+            .map(|i| {
+                let mut pick = || VALUES[rng.below(VALUES.len())];
+                let o = Objectives {
+                    fps: pick(),
+                    system_mw: pick(),
+                    gates_k: pick(),
+                    sqnr_db: pick(),
+                };
+                (2 * i + 5, o)
+            })
+            .collect();
+        if case.is_multiple_of(3) {
+            for i in (1..n).rev() {
+                let j = rng.below(i + 1);
+                let (a, b) = (set[i].0, set[j].0);
+                (set[i].0, set[j].0) = (b, a);
+            }
+        }
+        if let Some(axis) = (case % 5).checked_sub(1) {
+            for _ in 0..=rng.below(2) {
+                let o = &mut set[rng.below(n)].1;
+                match axis {
+                    0 => o.fps = f64::NAN,
+                    1 => o.system_mw = f64::NAN,
+                    2 => o.gates_k = f64::NAN,
+                    _ => o.sqnr_db = f64::NAN,
+                }
+            }
+        }
+        set
+    }
+
+    /// A partition's sweep-reply candidates: its entries on either of
+    /// its frontiers, as a daemon reports them to a coordinator.
+    fn candidates(part: &[(usize, Objectives)]) -> Vec<(usize, Objectives)> {
+        let keep: Vec<usize> = frontier_3d(part)
+            .into_iter()
+            .chain(frontier_accuracy(part))
+            .collect();
+        part.iter()
+            .filter(|(i, _)| keep.contains(i))
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn frontiers_and_merges_equal_the_all_pairs_scan_on_random_sets() {
+        let mut rng = Rng(0x0f10_7e27);
+        for case in 0..12_000 {
+            let set = random_set(&mut rng, case);
+            assert_eq!(
+                frontier_3d(&set),
+                all_pairs(&set, dominates_3d),
+                "3D, case {case}: {set:?}"
+            );
+            assert_eq!(
+                frontier_2d(&set),
+                all_pairs(&set, dominates_2d),
+                "2D, case {case}: {set:?}"
+            );
+            assert_eq!(
+                frontier_accuracy(&set),
+                all_pairs(&set, dominates_accuracy),
+                "accuracy, case {case}: {set:?}"
+            );
+            // The coordinator's invariant: re-filtering the union of
+            // every part's candidates gives the union's frontier.
+            let parts = 1 + rng.below(4);
+            let mut split = vec![Vec::new(); parts];
+            for &entry in &set {
+                split[rng.below(parts)].push(entry);
+            }
+            let reported: Vec<_> = split.iter().map(|part| candidates(part)).collect();
+            let mut union = set.clone();
+            union.sort_by_key(|(i, _)| *i);
+            assert_eq!(
+                merge_frontier_3d(&reported),
+                all_pairs(&union, dominates_3d),
+                "3D merge, case {case}: {reported:?}"
+            );
+            assert_eq!(
+                merge_frontier_accuracy(&reported),
+                all_pairs(&union, dominates_accuracy),
+                "accuracy merge, case {case}: {reported:?}"
+            );
+        }
+    }
 }
