@@ -23,6 +23,8 @@
 //! assert_eq!(frontier_3d(&points), vec![0, 2]);
 //! ```
 
+use std::collections::BTreeMap;
+
 use crate::eval::PointResult;
 
 /// The objective vector of one feasible point.
@@ -71,35 +73,91 @@ pub fn dominates_accuracy(a: &Objectives, b: &Objectives) -> bool {
     no_worse && better
 }
 
+/// An axis value as an integer with the same order, `−0.0` folded onto
+/// `+0.0` (`x + 0.0`) so that values `==` calls equal get equal keys.
+/// Never called on a NaN.
+fn order_key(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The frontier under the relation whose three axes `axes` returns, each
+/// to be minimized: `a` dominates `b` when it is no greater on every
+/// axis and smaller on one, which is what `dominates_*` compute.
+///
+/// A sort-and-sweep (Kung, Luccio & Preparata, J. ACM 1975) in
+/// O(n log n). Sorted lexicographically, every dominator comes before
+/// the points it dominates, and a run of equal vectors is checked
+/// before any of it is added, so equal vectors never dominate each
+/// other. The sweep keeps a staircase of the frontier found so far over
+/// the last two axes (its z strictly falls as its y rises), so "is some
+/// earlier point no greater on y and z" is one look at the step at or
+/// below y. A point with a NaN on an axis the relation reads compares
+/// false both ways: it stays on the frontier and dominates nothing.
+///
+/// Each entry is its own point; every caller passes distinct indices.
+/// Output keeps input order.
 fn frontier_by(
     objectives: &[(usize, Objectives)],
-    dominates: impl Fn(&Objectives, &Objectives) -> bool,
+    axes: fn(&Objectives) -> [f64; 3],
 ) -> Vec<usize> {
-    let mut frontier = Vec::new();
-    for (i, oi) in objectives {
-        let dominated = objectives.iter().any(|(j, oj)| j != i && dominates(oj, oi));
-        if !dominated {
-            frontier.push(*i);
+    let mut sorted: Vec<([u64; 3], usize)> = objectives
+        .iter()
+        .enumerate()
+        .filter_map(|(at, (_, o))| {
+            let v = axes(o);
+            (!v.iter().any(|x| x.is_nan())).then(|| (v.map(order_key), at))
+        })
+        .collect();
+    sorted.sort_unstable();
+    let mut dominated = vec![false; objectives.len()];
+    let mut stairs: BTreeMap<u64, u64> = BTreeMap::new();
+    for run in sorted.chunk_by(|a, b| a.0 == b.0) {
+        let [_, y, z] = run[0].0;
+        if stairs
+            .range(..=y)
+            .next_back()
+            .is_some_and(|(_, &sz)| sz <= z)
+        {
+            for &(_, at) in run {
+                dominated[at] = true;
+            }
+            continue;
         }
+        // (y, z) covers every step at or past y that is no lower.
+        while let Some((&sy, _)) = stairs.range(y..).next().filter(|(_, &sz)| sz >= z) {
+            stairs.remove(&sy);
+        }
+        stairs.insert(y, z);
     }
-    frontier
+    objectives
+        .iter()
+        .zip(dominated)
+        .filter(|(_, dominated)| !dominated)
+        .map(|((i, _), _)| *i)
+        .collect()
 }
 
 /// Indices (into the caller's list) of the 3D-non-dominated points.
 /// Input is `(index, objectives)` for every *feasible* point; the
 /// returned indices are ascending because input order is preserved.
 pub fn frontier_3d(objectives: &[(usize, Objectives)]) -> Vec<usize> {
-    frontier_by(objectives, dominates_3d)
+    frontier_by(objectives, |o| [-o.fps, o.system_mw, o.gates_k])
 }
 
-/// Indices of the 2D-non-dominated points (fps × power).
+/// Indices of the 2D-non-dominated points (fps × power): the 3D sweep
+/// with a constant third axis.
 pub fn frontier_2d(objectives: &[(usize, Objectives)]) -> Vec<usize> {
-    frontier_by(objectives, dominates_2d)
+    frontier_by(objectives, |o| [-o.fps, o.system_mw, 0.0])
 }
 
 /// Indices of the accuracy-non-dominated points (fps × power × SQNR).
 pub fn frontier_accuracy(objectives: &[(usize, Objectives)]) -> Vec<usize> {
-    frontier_by(objectives, dominates_accuracy)
+    frontier_by(objectives, |o| [-o.fps, o.system_mw, -o.sqnr_db])
 }
 
 /// Merges per-partition frontier candidate lists into one canonically
