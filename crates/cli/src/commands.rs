@@ -228,7 +228,9 @@ explorer daemon:
            evaluations across restarts (loaded at startup, appended on
            completed requests and shutdown); --max-connections answers
            busy at the accept loop beyond the bound; --cache-cap bounds
-           the in-memory cache (FIFO eviction of flushed entries);
+           the in-memory cache (FIFO eviction of flushed entries) and,
+           with --cache-file, the file: past 2x the cap in records it
+           is rewritten to its newest flushes holding at least the cap;
            --trace-log appends one JSON line per completed request
            (id, type, status, per-phase timings, trace id), rotating to
            FILE.1 at --trace-cap-mb (0 = never rotate), and arms the

@@ -34,6 +34,13 @@
 //!   only each point's first record (the one load semantics honor);
 //!   [`CacheFile::load_into`] runs it automatically when more than
 //!   half the records on disk are dead.
+//! * **Boundable.** A bounded cache keeps only its newest points, so
+//!   its older records are dead weight too, and a daemon with a cache
+//!   capacity drops them: [`CacheFile::keep_from`] rewrites the snapshot
+//!   to hold only its bytes from a record boundary on, copied without
+//!   decoding. The daemon calls it once the file holds more than twice
+//!   its capacity, keeping its newest whole flush batches that hold at
+//!   least the capacity.
 //!
 //! The format is deliberately dependency-free binary, little-endian
 //! throughout, versioned by the magic line:
@@ -56,7 +63,7 @@
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, ErrorKind, Read, Write};
+use std::io::{self, BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::eval::{check_point, check_result, PointOutcome, PointResult};
@@ -328,12 +335,50 @@ impl CacheFile {
         if readable == 0 {
             return Ok(report);
         }
-        let mut tmp_path = self.path.clone().into_os_string();
-        tmp_path.push(".compact-tmp");
+        let tmp_path = self.tmp_path();
         write_records(&mut File::create(&tmp_path)?, true, &live)?;
         std::fs::rename(&tmp_path, &self.path)?;
         report.compacted = true;
         Ok(report)
+    }
+
+    /// Rewrites the snapshot to hold only its bytes from offset `from`
+    /// on, after the magic line: how a bounded daemon drops its oldest
+    /// flush batches. `from` must be where a record starts. The bytes
+    /// are copied as they are (file to file, nothing decoded or held in
+    /// memory) into a sibling temp file, which is synced and renamed
+    /// over the snapshot, so a failure leaves the old file intact.
+    ///
+    /// Callers must own the file, as for [`CacheFile::compact`].
+    ///
+    /// # Errors
+    ///
+    /// I/O failures (a missing file included), and a file whose magic
+    /// line is foreign.
+    pub fn keep_from(&self, from: u64) -> io::Result<()> {
+        let mut old = File::open(&self.path)?;
+        let mut head = Vec::with_capacity(MAGIC.len());
+        (&mut old).take(MAGIC.len() as u64).read_to_end(&mut head)?;
+        self.check_magic(&head)?;
+        old.seek(SeekFrom::Start(from))?;
+        let tmp_path = self.tmp_path();
+        let copied = File::create(&tmp_path).and_then(|mut new| {
+            new.write_all(MAGIC)?;
+            io::copy(&mut old, &mut new)?;
+            new.sync_data()?;
+            std::fs::rename(&tmp_path, &self.path)
+        });
+        if copied.is_err() {
+            let _ = std::fs::remove_file(&tmp_path);
+        }
+        copied
+    }
+
+    /// The sibling a rewrite goes through before its rename.
+    fn tmp_path(&self) -> PathBuf {
+        let mut tmp_path = self.path.clone().into_os_string();
+        tmp_path.push(".compact-tmp");
+        tmp_path.into()
     }
 
     /// Appends `entries` as one batch of records, creating the file
@@ -971,6 +1016,54 @@ mod tests {
         std::fs::write(&path, b"someone else's data\n").unwrap();
         assert!(CacheFile::new(&path).compact().is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn keep_from_drops_the_oldest_batches_byte_for_byte() {
+        let path = temp_path("keep_from");
+        let file = CacheFile::new(&path);
+        let pts = points(5);
+        file.append(&[
+            (pts[0].clone(), feasible(1.0)),
+            (pts[1].clone(), feasible(2.0)),
+        ])
+        .unwrap();
+        let second = std::fs::metadata(&path).unwrap().len();
+        file.append(&[(pts[2].clone(), PointOutcome::Infeasible("x".into()))])
+            .unwrap();
+        file.append(&[
+            (pts[3].clone(), feasible(4.0)),
+            (pts[4].clone(), feasible(5.0)),
+        ])
+        .unwrap();
+        let before = std::fs::read(&path).unwrap();
+
+        file.keep_from(second).unwrap();
+        let after = std::fs::read(&path).unwrap();
+        assert_eq!(after[..MAGIC.len()], *MAGIC);
+        assert_eq!(after[MAGIC.len()..], before[second as usize..]);
+        assert!(!file.tmp_path().exists(), "temp file left behind");
+        let cache = PointCache::new();
+        assert_eq!(
+            file.load_into(&cache).unwrap(),
+            LoadReport {
+                loaded: 3,
+                ..LoadReport::default()
+            }
+        );
+        assert!(cache.get(&pts[1]).is_none());
+        assert_eq!(cache.get(&pts[3]), Some(feasible(4.0)));
+
+        // Keeping from the end leaves an empty snapshot.
+        file.keep_from(after.len() as u64).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), MAGIC);
+        // A foreign file is refused and left as it was; a missing one
+        // is an error.
+        std::fs::write(&path, b"someone else's data\n").unwrap();
+        assert!(file.keep_from(0).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"someone else's data\n");
+        std::fs::remove_file(&path).unwrap();
+        assert!(file.keep_from(0).is_err());
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //! shared cache and its cache file) and the shard fan-out in
 //! [`crate::cluster`].
 
+use std::collections::VecDeque;
 use std::io;
 use std::sync::Mutex;
 use std::thread::Scope;
 use std::time::Instant;
 
 use chain_nn_dse::engine::{AdmissionSlot, Engine, SubmitError};
+use chain_nn_dse::persist::MAGIC;
 use chain_nn_dse::{pareto, CacheFile, DesignPoint, DseError, PointCache, PointOutcome, SweepSpec};
 use chain_nn_obs::Registry;
 use chain_nn_tuner::TuneError;
@@ -43,10 +45,11 @@ pub(crate) trait Backend: Send + Sync {
         Ok(None)
     }
 
-    /// Appends fresh evaluations to the cache file, if there is one,
-    /// returning how many it appended.
-    fn flush(&self) -> io::Result<usize> {
-        Ok(0)
+    /// Appends fresh evaluations to the cache file, if there is one:
+    /// how many records it appended, and the error of the append or of
+    /// the rewrite that bounds the file, if either failed.
+    fn flush(&self) -> (usize, io::Result<()>) {
+        (0, Ok(()))
     }
 
     /// The backend's own counters (cache, queue, workers) as `stats`
@@ -145,16 +148,81 @@ impl From<Failure> for TuneError {
 /// point once. With a file attached, the cache is replayed at open and
 /// every completed request's fresh evaluations are appended, so a
 /// restarted daemon re-serves prior sweeps without a single model
-/// evaluation.
+/// evaluation. With a capacity too, the file is bounded like the cache
+/// (see [`Batches::push`]).
 pub(crate) struct Local {
     engine: Engine,
     cache: PointCache,
     cache_file: Option<CacheFile>,
-    /// Serializes flushes so concurrent batch completions do not
-    /// interleave appends.
-    flush_lock: Mutex<()>,
+    cache_capacity: Option<usize>,
+    /// The cache file's flush batches. Its lock serializes flushes, so
+    /// concurrent batch completions do not interleave appends.
+    batches: Mutex<Batches>,
     threads: usize,
     loaded_from_disk: usize,
+}
+
+/// Where a bounded daemon's flush batches lie in its cache file, oldest
+/// first. The first is the file as [`CacheFile::load_into`] left it
+/// (truncated or compacted, perhaps); the daemon wrote every later one.
+#[derive(Debug, Default)]
+struct Batches {
+    /// Each batch's start offset and record count.
+    list: VecDeque<(u64, usize)>,
+    /// Records across `list`.
+    records: usize,
+    /// The file's length: where the next batch starts (0 before the
+    /// file exists).
+    end: u64,
+}
+
+impl Batches {
+    /// Records the batch of `records` a flush just appended, ending the
+    /// file at `end`. Once the file holds more than twice `capacity`
+    /// records, rewrites it to keep only its newest whole batches that
+    /// hold at least `capacity`. A bounded cache keeps only its newest
+    /// ~`capacity` points anyway (FIFO), so a restart still serves what
+    /// the daemon served; twice is the "more than half dead" rule at
+    /// which [`CacheFile::load_into`] compacts. With batches no larger
+    /// than `capacity`, the file so holds at most 2 × `capacity` records
+    /// plus one batch. A larger batch (a sweep against `--cache-cap 0`,
+    /// say) stands in for `capacity` in the trigger, so such a daemon
+    /// rewrites every other flush rather than every one. While the
+    /// newest `capacity` records reach back into the loaded file's
+    /// batch, nothing can be dropped, and the rewrite waits.
+    fn push(
+        &mut self,
+        file: &CacheFile,
+        records: usize,
+        end: u64,
+        capacity: usize,
+    ) -> io::Result<()> {
+        self.list
+            .push_back((self.end.max(MAGIC.len() as u64), records));
+        self.records += records;
+        self.end = end;
+        if self.records <= capacity.max(records).saturating_mul(2) {
+            return Ok(());
+        }
+        let (mut first, mut kept) = (self.list.len(), 0);
+        while first == self.list.len() || (first > 0 && kept < capacity) {
+            first -= 1;
+            kept += self.list[first].1;
+        }
+        if first == 0 {
+            return Ok(());
+        }
+        let from = self.list[first].0;
+        file.keep_from(from)?;
+        let shift = from - MAGIC.len() as u64;
+        self.list.drain(..first);
+        for (start, _) in &mut self.list {
+            *start -= shift;
+        }
+        self.records = kept;
+        self.end -= shift;
+        Ok(())
+    }
 }
 
 impl Local {
@@ -174,8 +242,18 @@ impl Local {
         };
         let cache_file = config.cache_file.as_ref().map(CacheFile::new);
         let mut loaded_from_disk = 0;
+        let mut batches = Batches::default();
         if let Some(file) = &cache_file {
-            loaded_from_disk = file.load_into(&cache)?.loaded;
+            let report = file.load_into(&cache)?;
+            loaded_from_disk = report.loaded;
+            batches.end = file_len(file)?;
+            // A compaction kept only the loaded records; otherwise the
+            // dead ones are still on disk.
+            let records = report.loaded + if report.compacted { 0 } else { report.dead() };
+            if records > 0 {
+                batches.list.push_back((MAGIC.len() as u64, records));
+                batches.records = records;
+            }
         }
         Ok(Local {
             engine: Engine::new(
@@ -187,10 +265,20 @@ impl Local {
             ),
             cache,
             cache_file,
-            flush_lock: Mutex::new(()),
+            cache_capacity: config.cache_capacity,
+            batches: Mutex::new(batches),
             threads: config.threads.max(1),
             loaded_from_disk,
         })
+    }
+}
+
+/// The length of `file`, 0 while it does not exist.
+fn file_len(file: &CacheFile) -> io::Result<u64> {
+    match std::fs::metadata(file.path()) {
+        Ok(meta) => Ok(meta.len()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
+        Err(e) => Err(e),
     }
 }
 
@@ -209,23 +297,30 @@ impl Backend for Local {
         self.engine.admit().map(Some)
     }
 
-    /// Appends the cache's dirty journal to the snapshot file. Called
-    /// after every request that may have evaluated something, and once
-    /// more at shutdown.
-    fn flush(&self) -> io::Result<usize> {
-        let _guard = self.flush_lock.lock().expect("flush lock poisoned");
-        let cache = &self.cache;
-        match &self.cache_file {
-            Some(file) => file.flush_dirty(cache),
-            None => {
-                // No persistence to protect: discard the journal, so it
-                // does not hold a second copy of every evaluation and a
-                // capacity bound can evict (eviction never touches
-                // dirty entries).
-                drop(cache.take_dirty());
-                Ok(0)
+    /// Appends the cache's dirty journal to the snapshot file, then
+    /// bounds the file when the cache is bounded. Called after every
+    /// request that may have evaluated something, and once more at
+    /// shutdown. An empty journal touches no file.
+    fn flush(&self) -> (usize, io::Result<()>) {
+        let mut batches = self.batches.lock().expect("flush lock poisoned");
+        let Some(file) = &self.cache_file else {
+            // No persistence to protect: discard the journal, so it does
+            // not hold a second copy of every evaluation and a capacity
+            // bound can evict (eviction never touches dirty entries).
+            drop(self.cache.take_dirty());
+            return (0, Ok(()));
+        };
+        let appended = match file.flush_dirty(&self.cache) {
+            Ok(appended) => appended,
+            Err(e) => return (0, Err(e)),
+        };
+        let bounded = match self.cache_capacity {
+            Some(capacity) if appended > 0 => {
+                file_len(file).and_then(|end| batches.push(file, appended, end, capacity))
             }
-        }
+            _ => Ok(()),
+        };
+        (appended, bounded)
     }
 
     fn counters(&self) -> ServerStats {
@@ -374,7 +469,9 @@ mod tests {
             &DesignPoint::paper_alexnet(),
             PointOutcome::Infeasible("journaled".into()),
         );
-        assert_eq!(local.flush().expect("flush"), 0);
+        let (appended, flushed) = local.flush();
+        flushed.expect("flush");
+        assert_eq!(appended, 0);
         assert!(cache.take_dirty().is_empty(), "journal kept after flush");
         assert_eq!(cache.len(), 1);
     }

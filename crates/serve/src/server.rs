@@ -69,7 +69,12 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Optional cache capacity (points): bounds the in-memory cache
     /// with FIFO eviction of flushed entries for month-long daemon
-    /// lifetimes. `None` (the default) keeps the cache grow-only.
+    /// lifetimes. With a [`cache_file`](Self::cache_file) it bounds the
+    /// file too: once a flush leaves more than twice the capacity in
+    /// records on disk, the file is rewritten to its newest whole flush
+    /// batches that hold at least the capacity, so a restart reads at
+    /// most about twice the capacity. `None` (the default) keeps the
+    /// cache grow-only and the file append-only.
     pub cache_capacity: Option<usize>,
     /// Snapshot file for cross-process cache persistence.
     pub cache_file: Option<std::path::PathBuf>,
@@ -248,6 +253,8 @@ struct ServeMetrics {
     cache_misses: Arc<Counter>,
     /// Post-request cache-file flush durations.
     flush_ns: Arc<Histogram>,
+    /// Flushes whose append or file rewrite failed.
+    flush_errors: Arc<Counter>,
 }
 
 impl ServeMetrics {
@@ -259,6 +266,7 @@ impl ServeMetrics {
             cache_hits: registry.counter("serve_cache_hits_total"),
             cache_misses: registry.counter("serve_cache_misses_total"),
             flush_ns: registry.histogram("serve_flush_ns"),
+            flush_errors: registry.counter("serve_flush_errors_total"),
         }
     }
 }
@@ -339,13 +347,17 @@ impl RequestSpan {
 }
 
 impl Shared {
-    /// The backend's flush, counted into the lifetime report. Called
-    /// after every request that may have evaluated something, and once
-    /// more at shutdown.
+    /// The backend's flush, counted into the lifetime report and, when
+    /// it fails, into `serve_flush_errors_total`. Called after every
+    /// request that may have evaluated something, and once more at
+    /// shutdown.
     fn flush(&self) -> std::io::Result<()> {
-        let appended = self.backend.flush()?;
+        let (appended, flushed) = self.backend.flush();
         self.persisted.fetch_add(appended as u64, Ordering::Relaxed);
-        Ok(())
+        if flushed.is_err() {
+            self.metrics.flush_errors.inc();
+        }
+        flushed
     }
 
     /// Refreshes the scrape-time gauges: state that lives in counters
@@ -834,7 +846,8 @@ fn record_trace_spans(span: &RequestSpan, received: Instant, total: Duration) {
 }
 
 /// Runs the post-request cache flush and times it into the span and
-/// the `serve_flush_ns` histogram.
+/// the `serve_flush_ns` histogram. A failure is counted, not returned:
+/// the reply still goes out, and the journal waits for the next flush.
 fn timed_flush(shared: &Shared, span: &mut RequestSpan) {
     let started = Instant::now();
     let _ = shared.flush();

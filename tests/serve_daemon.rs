@@ -3,9 +3,9 @@
 //! daemon restarts, and protocol robustness. These are the acceptance
 //! criteria of the serving-subsystem PR.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use chain_nn_repro::dse::SweepSpec;
+use chain_nn_repro::dse::{CacheFile, DesignPoint, LoadReport, PointCache, SweepSpec};
 use chain_nn_repro::serve::cluster::{ClusterConfig, Coordinator};
 use chain_nn_repro::serve::protocol::Response;
 use chain_nn_repro::serve::{Client, Server, ServerConfig, ServerReport};
@@ -769,6 +769,166 @@ fn cache_cap_bounds_memory_without_a_cache_file() {
     sweep_summary(&mut client, &first);
     client.shutdown().expect("shutdown");
     daemon.join().expect("daemon");
+}
+
+/// A fresh path in the temp directory for one test's cache file.
+fn temp_cache(tag: &str) -> PathBuf {
+    let mut p = std::env::temp_dir();
+    p.push(format!("chain_nn_serve_{tag}_{}.cache", std::process::id()));
+    let _ = std::fs::remove_file(&p);
+    p
+}
+
+/// What a fresh process finds in the cache file at `path`.
+fn reload(path: &Path) -> LoadReport {
+    CacheFile::new(path)
+        .load_into(&PointCache::new())
+        .expect("reload")
+}
+
+/// Records on disk: loaded, and dead ones still taking space.
+fn records(report: &LoadReport) -> usize {
+    report.loaded + report.dead()
+}
+
+/// Cold sweep `n`: 1,000 lenet points (500 PE counts × 2 clocks),
+/// disjoint from every other `n`.
+fn cold_sweep(n: usize) -> SweepSpec {
+    lenet_grid((0..500).map(|i| 1000 + 500 * n + i).collect())
+}
+
+fn bounded_config(path: &Path, capacity: usize) -> ServerConfig {
+    ServerConfig {
+        threads: 2,
+        cache_capacity: Some(capacity),
+        cache_file: Some(path.to_path_buf()),
+        ..ServerConfig::default()
+    }
+}
+
+/// With `--cache-cap C` and a cache file, the file is bounded like the
+/// cache: after every reply it holds at most 2C records plus one sweep,
+/// and at least the newest C. It stays clean through the rewrites, and a
+/// restart re-serves the newest sweep from it without evaluating.
+#[test]
+fn cache_cap_bounds_the_cache_file_and_a_restart_reserves_the_newest_sweep() {
+    const CAP: usize = 2000;
+    let path = temp_cache("bounded");
+    let sweep = cold_sweep(0).len();
+    let (addr, daemon) = start(bounded_config(&path, CAP));
+    let mut client = Client::connect(addr).expect("connect");
+    for n in 0..12 {
+        let summary = sweep_summary(&mut client, &cold_sweep(n));
+        assert_eq!(summary.cache_misses, sweep as u64, "sweep {n} was not cold");
+        let on_disk = records(&reload(&path));
+        assert!(
+            on_disk <= 2 * CAP + sweep,
+            "after sweep {n}: {on_disk} records on disk"
+        );
+        assert!(
+            on_disk >= CAP.min((n + 1) * sweep),
+            "after sweep {n}: only {on_disk} records kept"
+        );
+    }
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+    let report = reload(&path);
+    assert_eq!(
+        (
+            report.corrupt_tail_bytes,
+            report.rejected,
+            report.duplicates
+        ),
+        (0, 0, 0),
+        "{report:?}"
+    );
+
+    let (addr, daemon) = start(bounded_config(&path, CAP));
+    let mut client = Client::connect(addr).expect("reconnect");
+    let again = sweep_summary(&mut client, &cold_sweep(11));
+    assert_eq!(
+        again.cache_misses, 0,
+        "restart must re-serve the newest sweep"
+    );
+    client.shutdown().expect("shutdown");
+    let report = daemon.join().expect("daemon");
+    assert!(
+        (CAP..=2 * CAP + sweep).contains(&report.loaded_from_disk),
+        "restart loaded {}",
+        report.loaded_from_disk
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// Without a capacity the cache file keeps every record it was given.
+#[test]
+fn an_unbounded_daemon_keeps_every_record_in_its_cache_file() {
+    let path = temp_cache("unbounded");
+    let (addr, daemon) = start(ServerConfig {
+        threads: 2,
+        cache_file: Some(path.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    for n in 0..6 {
+        sweep_summary(&mut client, &cold_sweep(n));
+    }
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+    assert_eq!(records(&reload(&path)), 6 * cold_sweep(0).len());
+    std::fs::remove_file(&path).ok();
+}
+
+/// `--cache-cap 0` (one point per cache shard): sweeps larger than
+/// twice the capacity neither panic nor rewrite the file at every
+/// flush. It keeps the newest sweep and rewrites every other flush.
+#[test]
+fn cache_cap_zero_bounds_the_file_to_its_newest_sweeps() {
+    let path = temp_cache("cap_zero");
+    let sweep = cold_sweep(0).len();
+    let (addr, daemon) = start(bounded_config(&path, 0));
+    let mut client = Client::connect(addr).expect("connect");
+    let mut on_disk = Vec::new();
+    for n in 0..4 {
+        let summary = sweep_summary(&mut client, &cold_sweep(n));
+        assert_eq!(summary.points, sweep);
+        on_disk.push(records(&reload(&path)));
+    }
+    assert_eq!(on_disk, [sweep, 2 * sweep, sweep, 2 * sweep]);
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A flush that fails still lets the reply go out, and is counted in
+/// `serve_flush_errors_total`. Here a directory sits where the cache
+/// file goes, so every append fails, the final one at shutdown too.
+#[test]
+fn a_failed_flush_is_counted_and_the_reply_still_goes_out() {
+    let path = temp_cache("flush_error");
+    let server = Server::bind(ServerConfig {
+        threads: 1,
+        cache_file: Some(path.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    std::fs::create_dir(&path).expect("a directory in the cache file's place");
+    let daemon = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(addr).expect("connect");
+    match client.eval(DesignPoint::paper_alexnet()).expect("eval") {
+        Response::Eval { .. } => {}
+        other => panic!("expected an eval reply, got {other:?}"),
+    }
+    let errors = match client.metrics().expect("metrics") {
+        Response::Metrics { snapshot } => snapshot.counter("serve_flush_errors_total", &[]),
+        other => panic!("expected metrics, got {other:?}"),
+    };
+    assert!(errors >= Some(1), "flush errors counted: {errors:?}");
+    client.shutdown().expect("shutdown");
+    let run = daemon.join().expect("daemon thread");
+    assert!(run.is_err(), "the final flush failed too: {run:?}");
+    std::fs::remove_dir(&path).expect("remove the directory");
 }
 
 /// A hostile newline-free stream is refused with one error reply and a
