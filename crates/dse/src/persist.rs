@@ -344,7 +344,8 @@ impl CacheFile {
 
     /// Rewrites the snapshot to hold only its bytes from offset `from`
     /// on, after the magic line: how a bounded daemon drops its oldest
-    /// flush batches. `from` must be where a record starts. The bytes
+    /// flush batches. `from` must be where a record starts (an offset
+    /// inside the magic line keeps every record). The bytes
     /// are copied as they are (file to file, nothing decoded or held in
     /// memory) into a sibling temp file, which is synced and renamed
     /// over the snapshot, so a failure leaves the old file intact.
@@ -360,7 +361,7 @@ impl CacheFile {
         let mut head = Vec::with_capacity(MAGIC.len());
         (&mut old).take(MAGIC.len() as u64).read_to_end(&mut head)?;
         self.check_magic(&head)?;
-        old.seek(SeekFrom::Start(from))?;
+        old.seek(SeekFrom::Start(from.max(MAGIC.len() as u64)))?;
         let tmp_path = self.tmp_path();
         let copied = File::create(&tmp_path).and_then(|mut new| {
             new.write_all(MAGIC)?;
@@ -1054,7 +1055,10 @@ mod tests {
         assert!(cache.get(&pts[1]).is_none());
         assert_eq!(cache.get(&pts[3]), Some(feasible(4.0)));
 
-        // Keeping from the end leaves an empty snapshot.
+        // An offset inside the magic line keeps every record; keeping
+        // from the end leaves an empty snapshot.
+        file.keep_from(0).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), after);
         file.keep_from(after.len() as u64).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), MAGIC);
         // A foreign file is refused and left as it was; a missing one

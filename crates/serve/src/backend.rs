@@ -171,8 +171,8 @@ struct Batches {
     list: VecDeque<(u64, usize)>,
     /// Records across `list`.
     records: usize,
-    /// The file's length: where the next batch starts (0 before the
-    /// file exists).
+    /// The file's length: where the next batch starts (0 while the
+    /// file holds no record).
     end: u64,
 }
 
@@ -246,11 +246,12 @@ impl Local {
         if let Some(file) = &cache_file {
             let report = file.load_into(&cache)?;
             loaded_from_disk = report.loaded;
-            batches.end = file_len(file)?;
             // A compaction kept only the loaded records; otherwise the
-            // dead ones are still on disk.
+            // dead ones are still on disk. With none, the file is missing
+            // or holds only its magic line, where the next batch starts.
             let records = report.loaded + if report.compacted { 0 } else { report.dead() };
             if records > 0 {
+                batches.end = std::fs::metadata(file.path())?.len();
                 batches.list.push_back((MAGIC.len() as u64, records));
                 batches.records = records;
             }
@@ -270,15 +271,6 @@ impl Local {
             threads: config.threads.max(1),
             loaded_from_disk,
         })
-    }
-}
-
-/// The length of `file`, 0 while it does not exist.
-fn file_len(file: &CacheFile) -> io::Result<u64> {
-    match std::fs::metadata(file.path()) {
-        Ok(meta) => Ok(meta.len()),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
-        Err(e) => Err(e),
     }
 }
 
@@ -315,9 +307,8 @@ impl Backend for Local {
             Err(e) => return (0, Err(e)),
         };
         let bounded = match self.cache_capacity {
-            Some(capacity) if appended > 0 => {
-                file_len(file).and_then(|end| batches.push(file, appended, end, capacity))
-            }
+            Some(capacity) if appended > 0 => std::fs::metadata(file.path())
+                .and_then(|meta| batches.push(file, appended, meta.len(), capacity)),
             _ => Ok(()),
         };
         (appended, bounded)
