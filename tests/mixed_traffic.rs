@@ -1,5 +1,5 @@
 //! Mixed-traffic acceptance tests for the work-assisting engine: the
-//! latency contract (one-point evals racing a ~2000-point sweep see
+//! latency contract (one-point evals racing a ~8000-point sweep see
 //! their p99 queue-wait drop under adaptive claims versus the
 //! fixed-batch baseline), the exactly-once contract (no point is lost
 //! or claimed twice under racing clients or 16-way job contention),
@@ -68,7 +68,7 @@ fn metrics_snapshot(client: &mut Client) -> chain_nn_repro::obs::Snapshot {
 
 /// Runs one measurement round for the tail-latency criterion: boots a
 /// 2-worker daemon under the given claim policy, launches a
-/// ~2000-point cold sweep, and pumps one-point evals at it for the
+/// ~8000-point cold sweep, and pumps one-point evals at it for the
 /// sweep's whole duration. Returns the daemon's own
 /// `serve_queue_wait_ns{type=eval}` p99 (nanoseconds) and the pump's
 /// eval count.
@@ -95,33 +95,38 @@ fn eval_queue_wait_p99_under_sweep(claim: ClaimPolicy) -> (f64, usize) {
         ..DesignPoint::paper_alexnet()
     };
 
-    let sweep_done = AtomicBool::new(false);
+    // The pump overlaps the sweep's whole engine job by construction:
+    // the sweep is sent only once the pump has an eval answered, and the
+    // pump stops only once the sweep's reply is back.
+    let (started_tx, pump_started) = std::sync::mpsc::channel();
+    let sweep_done = &AtomicBool::new(false);
     let pumped = std::thread::scope(|scope| {
-        scope.spawn(|| {
+        scope.spawn(move || {
             let mut sweeper = Client::connect(addr).expect("connect sweeper");
-            // vgg16, the costliest zoo net: the sweep must outlive the
-            // pump's ramp-up even in optimized builds.
+            // vgg16, the costliest zoo net, at eight clocks: long enough
+            // for well over 50 evals even in optimized builds.
             let grid = SweepSpec {
                 pes: (16..=1024).collect(),
-                freqs_mhz: vec![350.0, 700.0],
+                freqs_mhz: (0..8).map(|i| 350.0 + 50.0 * f64::from(i)).collect(),
                 nets: vec!["vgg16".into()],
                 ..SweepSpec::paper_point()
             };
+            pump_started.recv().expect("the pump starts");
             let (points, _, _) = sweep_points(&mut sweeper, &grid);
-            assert_eq!(points, 2018);
+            assert_eq!(points, 8072);
             sweep_done.store(true, Ordering::SeqCst);
         });
-        // Only start pumping once the sweep is demonstrably admitted
-        // and still deep (stats is served inline, not queued).
-        while !sweep_done.load(Ordering::SeqCst) && stats(&mut pump).queue_depth < 1000 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
         let mut pumped = 0usize;
-        while !sweep_done.load(Ordering::SeqCst) {
+        loop {
             expect_eval(&mut pump, pump_point(pumped));
             pumped += 1;
+            if pumped == 1 {
+                started_tx.send(()).expect("the sweeper waits");
+            }
+            if sweep_done.load(Ordering::SeqCst) {
+                break pumped;
+            }
         }
-        pumped
     });
     let snapshot = metrics_snapshot(&mut pump);
     let _ = pump.shutdown();
@@ -134,7 +139,7 @@ fn eval_queue_wait_p99_under_sweep(claim: ClaimPolicy) -> (f64, usize) {
 }
 
 /// The headline latency criterion: with interactive evals racing a
-/// ~2000-point sweep, adaptive claims cut the evals' p99 wait to less
+/// ~8000-point sweep, adaptive claims cut the evals' p99 wait to less
 /// than half of the fixed-batch baseline's. Under `Fixed(32)` an eval
 /// waits for a worker to drain a whole 32-point claim; under the
 /// adaptive policy the sweep's claims shrink to
@@ -156,6 +161,7 @@ fn adaptive_claims_cut_eval_p99_versus_fixed_batches_during_a_sweep() {
             fixed_p99 / 1e3,
             adaptive_p99 / 1e3,
         );
+        eprintln!("{last}");
         // Enough samples for a meaningful p99 on both sides, and at
         // least a 2x improvement (the policy predicts ~8x: waits of
         // ~CONTENDED_CLAIM points instead of ~DEFAULT_MAX_CLAIM points).
