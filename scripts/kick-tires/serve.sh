@@ -42,3 +42,33 @@ if timeout 20 $BIN serve --port 7979 --cache-file v1.cache > v1.log 2>&1; then
 fi
 grep -q "is not a chain-nn dse cache file" v1.log
 cmp v1.cache v1.orig
+
+# A bounded daemon under a file-size limit below the bytes its sweeps
+# write: 20 cold 1,000-point sweeps write ~2.9 MB of records, and
+# --cache-cap 2000 keeps the cache file under 2 × 2,000 records plus one
+# sweep (~0.7 MB), so every sweep answers inside a 1 MiB limit. Only the
+# daemon runs under the limit.
+bounded_serve() {
+  ( ulimit -f 1024; exec $BIN serve --port 7979 --threads 2 --cache-cap 2000 \
+      --cache-file bounded.cache ) > "$1" 2>&1 &
+  SERVE_PID=$!
+  wait_ready "$1"
+}
+bounded_serve bounded1.log
+for n in $(seq 0 19); do
+  pes=$(seq -s, $((1000 + 500 * n)) $((1499 + 500 * n)))
+  $BIN query --port 7979 \
+    "{\"type\":\"sweep\",\"spec\":{\"pes\":[$pes],\"freqs_mhz\":[350,700],\"nets\":\"lenet\"}}" \
+    | grep -q '"cache_misses":1000'
+done
+$BIN query --port 7979 shutdown | grep -q '"type":"shutdown"'
+wait $SERVE_PID
+
+# The restart reads the bounded file: at least the newest 2,000 points,
+# at most 2 × 2,000 plus one sweep.
+bounded_serve bounded2.log
+loaded=$(grep -o '[0-9]* cached points loaded' bounded2.log | cut -d' ' -f1)
+test "$loaded" -ge 2000
+test "$loaded" -le 5000
+$BIN query --port 7979 shutdown | grep -q '"type":"shutdown"'
+wait $SERVE_PID
