@@ -1,5 +1,5 @@
 //! Mixed-traffic acceptance tests for the work-assisting engine: the
-//! latency contract (one-point evals racing a ~8000-point sweep see
+//! latency contract (one-point evals racing a ~16,000-point sweep see
 //! their p99 queue-wait drop under adaptive claims versus the
 //! fixed-batch baseline), the exactly-once contract (no point is lost
 //! or claimed twice under racing clients or 16-way job contention),
@@ -66,11 +66,16 @@ fn metrics_snapshot(client: &mut Client) -> chain_nn_repro::obs::Snapshot {
     }
 }
 
+/// Eval clients pumping at once. With two, one's eval is nearly always
+/// queued while the other's reply travels, so a worker ending a claim
+/// meets a waiting eval, which is the case the claim policies differ in.
+const PUMPS: usize = 2;
+
 /// Runs one measurement round for the tail-latency criterion: boots a
 /// 2-worker daemon under the given claim policy, launches a
-/// ~8000-point cold sweep, and pumps one-point evals at it for the
-/// sweep's whole duration. Returns the daemon's own
-/// `serve_queue_wait_ns{type=eval}` p99 (nanoseconds) and the pump's
+/// ~16,000-point cold sweep, and has [`PUMPS`] clients pump one-point
+/// evals at it for the sweep's whole duration. Returns the daemon's own
+/// `serve_queue_wait_ns{type=eval}` p99 (nanoseconds) and the pumps'
 /// eval count.
 ///
 /// Each pump point is fresh (cache-cold), so the eval must travel the
@@ -87,49 +92,64 @@ fn eval_queue_wait_p99_under_sweep(claim: ClaimPolicy) -> (f64, usize) {
         claim,
         ..ServerConfig::default()
     });
-    let mut pump = Client::connect(addr).expect("connect pump");
     // Disjoint from the sweep grid (different net), fresh every
     // iteration so none is a cache hit.
-    let pump_point = |i: usize| DesignPoint {
-        pes: 40 + i,
+    let pump_point = |pump: usize, i: usize| DesignPoint {
+        pes: 40 + PUMPS * i + pump,
         ..DesignPoint::paper_alexnet()
     };
 
-    // The pump overlaps the sweep's whole engine job by construction:
-    // the sweep is sent only once the pump has an eval answered, and the
-    // pump stops only once the sweep's reply is back.
+    // The pumps overlap the sweep's whole engine job by construction:
+    // the sweep is sent only once every pump has an eval answered, and
+    // each pump stops only once the sweep's reply is back.
     let (started_tx, pump_started) = std::sync::mpsc::channel();
     let sweep_done = &AtomicBool::new(false);
     let pumped = std::thread::scope(|scope| {
         scope.spawn(move || {
             let mut sweeper = Client::connect(addr).expect("connect sweeper");
-            // vgg16, the costliest zoo net, at eight clocks: long enough
-            // for well over 50 evals even in optimized builds.
+            // vgg16, the costliest zoo net, at 16 clocks: hundreds of
+            // evals per round even in optimized builds, so a stalled
+            // eval or two does not decide the p99.
             let grid = SweepSpec {
                 pes: (16..=1024).collect(),
-                freqs_mhz: (0..8).map(|i| 350.0 + 50.0 * f64::from(i)).collect(),
+                freqs_mhz: (0..16).map(|i| 350.0 + 20.0 * f64::from(i)).collect(),
                 nets: vec!["vgg16".into()],
                 ..SweepSpec::paper_point()
             };
-            pump_started.recv().expect("the pump starts");
+            for _ in 0..PUMPS {
+                pump_started.recv().expect("every pump starts");
+            }
             let (points, _, _) = sweep_points(&mut sweeper, &grid);
-            assert_eq!(points, 8072);
+            assert_eq!(points, 16_144);
             sweep_done.store(true, Ordering::SeqCst);
         });
-        let mut pumped = 0usize;
-        loop {
-            expect_eval(&mut pump, pump_point(pumped));
-            pumped += 1;
-            if pumped == 1 {
-                started_tx.send(()).expect("the sweeper waits");
-            }
-            if sweep_done.load(Ordering::SeqCst) {
-                break pumped;
-            }
-        }
+        let pumps: Vec<_> = (0..PUMPS)
+            .map(|pump| {
+                let started_tx = started_tx.clone();
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect pump");
+                    let mut pumped = 0usize;
+                    loop {
+                        expect_eval(&mut client, pump_point(pump, pumped));
+                        pumped += 1;
+                        if pumped == 1 {
+                            started_tx.send(()).expect("the sweeper waits");
+                        }
+                        if sweep_done.load(Ordering::SeqCst) {
+                            break pumped;
+                        }
+                    }
+                })
+            })
+            .collect();
+        pumps
+            .into_iter()
+            .map(|pump| pump.join().expect("pump thread"))
+            .sum()
     });
-    let snapshot = metrics_snapshot(&mut pump);
-    let _ = pump.shutdown();
+    let mut client = Client::connect(addr).expect("connect");
+    let snapshot = metrics_snapshot(&mut client);
+    let _ = client.shutdown();
     daemon.join().expect("daemon thread");
 
     let wait = snapshot
@@ -139,7 +159,7 @@ fn eval_queue_wait_p99_under_sweep(claim: ClaimPolicy) -> (f64, usize) {
 }
 
 /// The headline latency criterion: with interactive evals racing a
-/// ~8000-point sweep, adaptive claims cut the evals' p99 wait to less
+/// ~16,000-point sweep, adaptive claims cut the evals' p99 wait to less
 /// than half of the fixed-batch baseline's. Under `Fixed(32)` an eval
 /// waits for a worker to drain a whole 32-point claim; under the
 /// adaptive policy the sweep's claims shrink to
@@ -148,6 +168,11 @@ fn eval_queue_wait_p99_under_sweep(claim: ClaimPolicy) -> (f64, usize) {
 /// before declaring failure.
 #[test]
 fn adaptive_claims_cut_eval_p99_versus_fixed_batches_during_a_sweep() {
+    // The process's first round pays one-time costs, such as measuring
+    // each net's SQNR (milliseconds, with both workers waiting), that
+    // would land in whichever policy ran first. A discarded round pays
+    // them.
+    eval_queue_wait_p99_under_sweep(ClaimPolicy::adaptive());
     let mut last = String::new();
     for _ in 0..3 {
         let (fixed_p99, fixed_n) =
