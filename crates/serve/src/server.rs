@@ -847,7 +847,7 @@ fn record_trace_spans(span: &RequestSpan, received: Instant, total: Duration) {
 
 /// Runs the post-request cache flush and times it into the span and
 /// the `serve_flush_ns` histogram. A failure is counted, not returned:
-/// the reply still goes out, and the journal waits for the next flush.
+/// the reply still goes out, and the next flush retries.
 fn timed_flush(shared: &Shared, span: &mut RequestSpan) {
     let started = Instant::now();
     let _ = shared.flush();
