@@ -505,4 +505,302 @@ mod tests {
         let stats = CacheStats { hits: 3, misses: 1 };
         assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
     }
+
+    /// splitmix64: the model test's deterministic stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+    }
+
+    fn shard_of(point: &DesignPoint) -> usize {
+        (point.content_hash() >> 60) as usize % SHARD_COUNT
+    }
+
+    /// `n` distinct points (an alexnet clock sweep).
+    fn distinct_points(n: usize) -> Vec<DesignPoint> {
+        (0..n)
+            .map(|i| DesignPoint {
+                freq_mhz: 100.0 + i as f64,
+                ..DesignPoint::paper_alexnet()
+            })
+            .collect()
+    }
+
+    /// The cache as its contract reads: per shard, the entries in
+    /// insertion order, each flagged journaled or not. A bound of
+    /// `cap` points per shard drops a shard's oldest unjournaled
+    /// entries, and only those.
+    struct Model {
+        cap: Option<usize>,
+        shards: Vec<Vec<(DesignPoint, PointOutcome, bool)>>,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl Model {
+        fn new(capacity: Option<usize>) -> Model {
+            Model {
+                cap: capacity.map(|c| c.div_ceil(SHARD_COUNT).max(1)),
+                shards: vec![Vec::new(); SHARD_COUNT],
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }
+        }
+
+        fn find(&self, point: &DesignPoint) -> Option<PointOutcome> {
+            self.shards[shard_of(point)]
+                .iter()
+                .find(|(p, ..)| p == point)
+                .map(|(_, outcome, _)| outcome.clone())
+        }
+
+        fn get(&mut self, point: &DesignPoint) -> Option<PointOutcome> {
+            let found = self.find(point);
+            match found {
+                Some(_) => self.hits += 1,
+                None => self.misses += 1,
+            }
+            found
+        }
+
+        fn probe(&mut self, point: &DesignPoint) -> Option<PointOutcome> {
+            let found = self.find(point);
+            self.hits += u64::from(found.is_some());
+            found
+        }
+
+        fn insert(&mut self, point: &DesignPoint, outcome: PointOutcome, journal: bool) -> bool {
+            let shard = &mut self.shards[shard_of(point)];
+            if shard.iter().any(|(p, ..)| p == point) {
+                return false;
+            }
+            shard.push((point.clone(), outcome, journal));
+            if let Some(cap) = self.cap {
+                while shard.len() > cap {
+                    let Some(oldest) = shard.iter().position(|(.., journaled)| !journaled) else {
+                        break;
+                    };
+                    shard.remove(oldest);
+                    self.evictions += 1;
+                }
+            }
+            true
+        }
+
+        fn journal_is_empty(&self, shard: usize) -> bool {
+            self.shards[shard].iter().all(|(.., journaled)| !journaled)
+        }
+
+        fn take_dirty(&mut self) -> Vec<(DesignPoint, PointOutcome)> {
+            let mut out = Vec::new();
+            for shard in &mut self.shards {
+                for (point, outcome, journaled) in shard.iter_mut() {
+                    if std::mem::take(journaled) {
+                        out.push((point.clone(), outcome.clone()));
+                    }
+                }
+            }
+            out
+        }
+
+        fn entries(&self) -> Vec<(DesignPoint, PointOutcome)> {
+            let mut out: Vec<_> = self
+                .shards
+                .iter()
+                .flatten()
+                .map(|(point, outcome, _)| (point.clone(), outcome.clone()))
+                .collect();
+            out.sort_by_cached_key(|(point, _)| point.canonical_bytes());
+            out
+        }
+
+        fn len(&self) -> usize {
+            self.shards.iter().map(Vec::len).sum()
+        }
+    }
+
+    /// Runs one seeded sequence of cache calls against a cache of
+    /// `capacity` (`None`: unbounded) and the model, checking after
+    /// every step. `pools` holds each shard's candidate points.
+    fn check_sequence(capacity: Option<usize>, seed: u64, pools: &[Vec<DesignPoint>]) {
+        let mut rng = Rng(seed);
+        let cache = capacity.map_or_else(PointCache::new, PointCache::bounded);
+        let mut model = Model::new(capacity);
+        // A few shards, each drawing from its first `width` points: few
+        // enough that repeats (hits, duplicate inserts) are common, and
+        // up to 40 so a 19-point shard overflows.
+        let shards: Vec<usize> = (0..1 + rng.below(3))
+            .map(|_| rng.below(SHARD_COUNT))
+            .collect();
+        let width = [2, 8, 24, 40][rng.below(4)];
+        let steps = 1 + rng.below(160);
+        for step in 0..steps {
+            let shard = shards[rng.below(shards.len())];
+            let point = &pools[shard][rng.below(width)];
+            let fresh = PointOutcome::Infeasible(format!("step {step}"));
+            let at = format!("capacity {capacity:?}, seed {seed}, step {step}");
+            match rng.below(100) {
+                // A loader replays its file before anything is
+                // journaled, or right after a flush: the model loads
+                // only into a shard whose journal is empty. Whether an
+                // entry loaded behind a live journal ages from its load
+                // or from the journal's flush is left open.
+                0..=14 if model.journal_is_empty(shard) => assert_eq!(
+                    cache.insert_loaded(point, fresh.clone()),
+                    model.insert(point, fresh, false),
+                    "insert_loaded at {at}"
+                ),
+                0..=44 => {
+                    cache.insert(point, fresh.clone());
+                    model.insert(point, fresh, true);
+                }
+                45..=59 => assert_eq!(cache.get(point), model.get(point), "get at {at}"),
+                60..=69 => assert_eq!(cache.probe(point), model.probe(point), "probe at {at}"),
+                70..=77 => assert_eq!(cache.take_dirty(), model.take_dirty(), "take_dirty at {at}"),
+                78..=82 => assert_eq!(cache.len(), model.len(), "len at {at}"),
+                83..=94 => assert_eq!(cache.entries(), model.entries(), "entries at {at}"),
+                _ => assert_eq!(cache.evictions(), model.evictions, "evictions at {at}"),
+            }
+            assert_eq!(cache.entries(), model.entries(), "contents after {at}");
+            assert_eq!(cache.len(), model.len(), "len after {at}");
+            assert_eq!(cache.is_empty(), model.len() == 0, "is_empty after {at}");
+            assert_eq!(cache.evictions(), model.evictions, "evictions after {at}");
+            let want = CacheStats {
+                hits: model.hits,
+                misses: model.misses,
+            };
+            assert_eq!(cache.stats(), want, "stats after {at}");
+        }
+        // Whatever is still journaled comes out once, in shard order
+        // and then insertion order.
+        assert_eq!(cache.take_dirty(), model.take_dirty(), "final journal");
+    }
+
+    #[test]
+    fn random_call_sequences_match_the_reference_model() {
+        let mut pools = vec![Vec::new(); SHARD_COUNT];
+        for point in distinct_points(2048) {
+            pools[shard_of(&point)].push(point);
+        }
+        assert!(
+            pools.iter().all(|pool| pool.len() >= 40),
+            "a shard pool is short"
+        );
+        for (kind, capacity) in [None, Some(0), Some(SHARD_COUNT), Some(300)]
+            .into_iter()
+            .enumerate()
+        {
+            for sequence in 0..600 {
+                check_sequence(capacity, ((kind as u64) << 32) | sequence, &pools);
+            }
+        }
+    }
+
+    /// A flush that fails while inserts push every shard past its bound,
+    /// then one that succeeds: the good file holds every journaled entry
+    /// exactly once.
+    #[test]
+    fn failed_flush_under_eviction_pressure_loses_and_repeats_nothing() {
+        use crate::persist::CacheFile;
+
+        let cache = PointCache::bounded(SHARD_COUNT);
+        let points = distinct_points(400);
+        // A directory: every append to it fails.
+        let bad = CacheFile::new(std::env::temp_dir());
+        std::thread::scope(|scope| {
+            let inserter = scope.spawn(|| {
+                for (i, point) in points.iter().enumerate() {
+                    cache.insert(point, outcome(&i.to_string()));
+                }
+            });
+            while !inserter.is_finished() {
+                // Fails, or finds an empty journal and touches nothing.
+                assert_eq!(bad.flush_dirty(&cache).unwrap_or(0), 0);
+            }
+        });
+        assert!(bad.flush_dirty(&cache).is_err());
+
+        let path = std::env::temp_dir().join(format!(
+            "chain_nn_cache_failed_flush_{}.bin",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let good = CacheFile::new(&path);
+        good.flush_dirty(&cache).expect("flush to a good path");
+        let reloaded = PointCache::new();
+        let report = good.load_into(&reloaded).expect("load");
+        std::fs::remove_file(&path).expect("remove");
+        assert_eq!((report.loaded, report.dead()), (points.len(), 0));
+        for (i, point) in points.iter().enumerate() {
+            assert_eq!(reloaded.get(point), Some(outcome(&i.to_string())));
+        }
+    }
+
+    /// Two threads flushing one cache into two files while a third
+    /// inserts: together the files hold each journaled entry exactly
+    /// once.
+    #[test]
+    fn racing_flushers_write_each_entry_once_between_them() {
+        use crate::persist::CacheFile;
+        use std::sync::atomic::AtomicBool;
+
+        let cache = PointCache::bounded(300);
+        let points = distinct_points(1000);
+        let paths: Vec<_> = ["a", "b"]
+            .iter()
+            .map(|tag| {
+                let path = std::env::temp_dir().join(format!(
+                    "chain_nn_cache_race_{tag}_{}.bin",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_file(&path);
+                path
+            })
+            .collect();
+        let inserted = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for path in &paths {
+                let (cache, inserted) = (&cache, &inserted);
+                scope.spawn(move || {
+                    let file = CacheFile::new(path);
+                    loop {
+                        // A flush begun after the last insert drains the
+                        // journal, so after it nothing is left behind.
+                        let last = inserted.load(Ordering::SeqCst);
+                        file.flush_dirty(cache).expect("flush");
+                        if last {
+                            break;
+                        }
+                    }
+                });
+            }
+            for (i, point) in points.iter().enumerate() {
+                cache.insert(point, outcome(&i.to_string()));
+            }
+            inserted.store(true, Ordering::SeqCst);
+        });
+        let reloaded = PointCache::new();
+        let mut loaded = 0;
+        for path in &paths {
+            let report = CacheFile::new(path).load_into(&reloaded).expect("load");
+            let _ = std::fs::remove_file(path);
+            assert_eq!(report.dead(), 0, "{report:?}");
+            loaded += report.loaded;
+        }
+        assert_eq!(loaded, points.len());
+        assert_eq!(reloaded.len(), points.len());
+    }
 }
