@@ -2,9 +2,11 @@
 //!
 //! The cache keys on [`DesignPoint::content_hash`] (a stable FNV-1a of
 //! the point's canonical byte encoding) and verifies the full point on
-//! lookup, so a 64-bit collision can never return the wrong result.
-//! Overlapping or repeated sweeps against the same [`crate::Explorer`]
-//! are therefore incremental: only never-seen points are evaluated.
+//! lookup, so a 64-bit collision can never return the wrong result: the
+//! first point stored under a hash keeps it, and a colliding point
+//! always misses and is never stored. Overlapping or repeated sweeps
+//! against the same [`crate::Explorer`] are therefore incremental: only
+//! never-seen points are evaluated.
 //!
 //! The table is **lock-striped**: entries are spread over
 //! [`SHARD_COUNT`] independently locked shards selected by the top bits
@@ -12,22 +14,30 @@
 //! (the `chain-nn serve` daemon) do not serialize on one global mutex.
 //! Hit/miss counters stay lock-free atomics.
 //!
-//! Inserts are also journaled per shard (the *dirty log*) so a
-//! persistence layer ([`crate::persist`]) can flush exactly the entries
-//! added since the last flush; [`PointCache::insert_loaded`] populates
-//! the table without journaling, for entries that already live on disk.
+//! Each shard stores an entry once and lists its keys oldest first. The
+//! newest keys of that list are the shard's **journal**: the entries
+//! inserted since the last flush, which a persistence layer
+//! ([`crate::persist`]) appends to its file. The journal is a count, not
+//! a copy: [`PointCache::flush_dirty_with`] hands a copy of it to the
+//! writer and marks it flushed only once the write succeeds, so a failed
+//! write leaves it journaled for the next flush.
+//! [`PointCache::insert_loaded`] populates the table without journaling,
+//! for entries that already live on disk; such a key goes in before the
+//! journal, which stays the newest keys.
 //!
 //! The cache is grow-only by default — correct for sweeps and fine for
 //! grids up to ~10⁷ points, but a month-long daemon lifetime wants a
 //! ceiling. [`PointCache::bounded`] adds an **optional capacity bound**
-//! with shard-local FIFO eviction: when a shard exceeds its share of
-//! the bound, the oldest *clean* entry (one not sitting in the dirty
-//! journal, i.e. already flushed to disk or loaded from it) is dropped.
-//! Dirty entries are never evicted — an unflushed evaluation must
-//! reach the snapshot file first — so with persistence attached an
-//! evicted point is only ever re-*loaded* or re-evaluated, never lost.
+//! with shard-local FIFO eviction: while a shard exceeds its share of
+//! the bound, its oldest key is dropped if it is *clean* (flushed to
+//! disk or loaded from it). The journal is never evicted — an unflushed
+//! evaluation must reach the snapshot file first — so with persistence
+//! attached an evicted point is only ever re-*loaded* or re-evaluated,
+//! never lost.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -60,53 +70,15 @@ impl CacheStats {
     }
 }
 
-/// One lock stripe: a bucketed hash map plus the journal of entries
-/// inserted (not loaded) since the last [`PointCache::take_dirty`].
+/// One lock stripe: each entry once, keyed by content hash, and its
+/// keys oldest first, the newest `dirty` of them being the journal.
 #[derive(Debug, Default)]
 struct Shard {
-    // Buckets per content hash; each bucket stores the full point so
-    // collisions degrade to a linear probe, never a wrong answer.
-    map: HashMap<u64, Vec<(DesignPoint, PointOutcome)>>,
-    dirty: Vec<(DesignPoint, PointOutcome)>,
-    // Content hashes of the journaled entries, mirrored from `dirty`
-    // so the eviction scan is O(1) per candidate instead of a nested
-    // point-equality walk under the shard lock. A hash collision only
-    // makes a clean entry *look* dirty — eviction skips it, which is
-    // conservative, never wrong.
-    dirty_hashes: HashSet<u64>,
-    // Insertion order (FIFO) for the optional capacity bound; one
-    // entry per stored point, removed on eviction.
-    order: VecDeque<(u64, DesignPoint)>,
-    // Points stored in this shard (map values summed), kept O(1).
-    count: usize,
-}
-
-impl Shard {
-    /// Evicts clean entries FIFO until the shard holds at most
-    /// `per_shard_cap` points (or only dirty entries remain). Returns
-    /// how many entries were dropped.
-    fn evict_to(&mut self, per_shard_cap: usize) -> u64 {
-        let mut evicted = 0u64;
-        while self.count > per_shard_cap {
-            let Some(pos) = self
-                .order
-                .iter()
-                .position(|(key, _)| !self.dirty_hashes.contains(key))
-            else {
-                break; // everything left is unflushed; never drop it
-            };
-            let (key, point) = self.order.remove(pos).expect("position is in range");
-            if let Some(bucket) = self.map.get_mut(&key) {
-                bucket.retain(|(p, _)| *p != point);
-                if bucket.is_empty() {
-                    self.map.remove(&key);
-                }
-            }
-            self.count -= 1;
-            evicted += 1;
-        }
-        evicted
-    }
+    map: HashMap<u64, (DesignPoint, PointOutcome)>,
+    // Every key of a bounded cache, for eviction; an unbounded cache
+    // never evicts, so it lists only the journal's keys.
+    order: VecDeque<u64>,
+    dirty: usize,
 }
 
 /// Thread-safe memo table from design points to evaluation outcomes.
@@ -129,6 +101,9 @@ impl Shard {
 #[derive(Debug)]
 pub struct PointCache {
     shards: Vec<Mutex<Shard>>,
+    /// Held from copying the journal until it is marked flushed, so
+    /// racing flushers hand out each entry once between them.
+    flushing: Mutex<()>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -141,6 +116,7 @@ impl Default for PointCache {
     fn default() -> Self {
         PointCache {
             shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
+            flushing: Mutex::new(()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -178,16 +154,17 @@ impl PointCache {
         &self.shards[(key >> 60) as usize % SHARD_COUNT]
     }
 
-    /// Looks up `point`, counting a hit or a miss.
-    pub fn get(&self, point: &DesignPoint) -> Option<PointOutcome> {
+    /// `point`'s outcome, counting nothing.
+    fn lookup(&self, point: &DesignPoint) -> Option<PointOutcome> {
         let key = point.content_hash();
         let shard = self.shard(key).lock().expect("cache lock poisoned");
-        let found = shard
-            .map
-            .get(&key)
-            .and_then(|bucket| bucket.iter().find(|(p, _)| p == point))
-            .map(|(_, outcome)| outcome.clone());
-        drop(shard);
+        let (stored, outcome) = shard.map.get(&key)?;
+        (stored == point).then(|| outcome.clone())
+    }
+
+    /// Looks up `point`, counting a hit or a miss.
+    pub fn get(&self, point: &DesignPoint) -> Option<PointOutcome> {
+        let found = self.lookup(point);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -203,14 +180,7 @@ impl PointCache {
     ///
     /// [`get`]: PointCache::get
     pub fn probe(&self, point: &DesignPoint) -> Option<PointOutcome> {
-        let key = point.content_hash();
-        let shard = self.shard(key).lock().expect("cache lock poisoned");
-        let found = shard
-            .map
-            .get(&key)
-            .and_then(|bucket| bucket.iter().find(|(p, _)| p == point))
-            .map(|(_, outcome)| outcome.clone());
-        drop(shard);
+        let found = self.lookup(point);
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -219,20 +189,28 @@ impl PointCache {
 
     fn insert_impl(&self, point: &DesignPoint, outcome: PointOutcome, journal: bool) -> bool {
         let key = point.content_hash();
-        let mut shard = self.shard(key).lock().expect("cache lock poisoned");
-        let bucket = shard.map.entry(key).or_default();
-        if bucket.iter().any(|(p, _)| p == point) {
+        let mut guard = self.shard(key).lock().expect("cache lock poisoned");
+        let shard = &mut *guard;
+        // A stored key stays: the same point is a duplicate, and a
+        // colliding one is not stored, so it always misses.
+        let Entry::Vacant(slot) = shard.map.entry(key) else {
             return false;
-        }
-        bucket.push((point.clone(), outcome.clone()));
-        shard.order.push_back((key, point.clone()));
-        shard.count += 1;
+        };
+        slot.insert((point.clone(), outcome));
         if journal {
-            shard.dirty.push((point.clone(), outcome));
-            shard.dirty_hashes.insert(key);
+            shard.order.push_back(key);
+            shard.dirty += 1;
+        } else if self.per_shard_cap.is_some() {
+            let before_journal = shard.order.len() - shard.dirty;
+            shard.order.insert(before_journal, key);
         }
         if let Some(cap) = self.per_shard_cap {
-            let evicted = shard.evict_to(cap);
+            let mut evicted = 0;
+            while shard.map.len() > cap && shard.order.len() > shard.dirty {
+                let oldest = shard.order.pop_front().expect("a clean key");
+                shard.map.remove(&oldest);
+                evicted += 1;
+            }
             if evicted > 0 {
                 self.evictions.fetch_add(evicted, Ordering::Relaxed);
             }
@@ -241,8 +219,7 @@ impl PointCache {
     }
 
     /// Stores an outcome (idempotent; a racing duplicate insert keeps
-    /// the first entry). The entry is journaled for the next
-    /// [`PointCache::take_dirty`].
+    /// the first entry). The entry is journaled for the next flush.
     pub fn insert(&self, point: &DesignPoint, outcome: PointOutcome) {
         self.insert_impl(point, outcome, true);
     }
@@ -256,31 +233,63 @@ impl PointCache {
         self.insert_impl(point, outcome, false)
     }
 
-    /// Drains the journal of entries inserted since the previous call
-    /// (or cache creation): exactly the state a persistence layer has
-    /// not yet flushed. Order follows shard order, deterministic for a
-    /// serial caller but not meaningful across racing inserters.
-    pub fn take_dirty(&self) -> Vec<(DesignPoint, PointOutcome)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache lock poisoned");
-            out.append(&mut shard.dirty);
-            shard.dirty_hashes.clear();
+    /// Hands a copy of the journal to `write` and, once `write`
+    /// succeeds, marks those entries flushed: the entries inserted (not
+    /// loaded) since the last flush, in shard order and then insertion
+    /// order. A failed `write` leaves every entry journaled, and so
+    /// unevictable, for the next flush. Flushes run one at a time, so
+    /// racing flushers never hand out one entry twice; inserts go on
+    /// meanwhile and join the journal after the copied entries.
+    ///
+    /// # Errors
+    ///
+    /// `write`'s error, with the journal left as it was.
+    pub fn flush_dirty_with<T, E>(
+        &self,
+        write: impl FnOnce(Vec<(DesignPoint, PointOutcome)>) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let _flushing = self.flushing.lock().expect("cache lock poisoned");
+        let mut dirty = Vec::new();
+        let mut copied = [0; SHARD_COUNT];
+        for (shard, copied) in self.shards.iter().zip(&mut copied) {
+            let shard = shard.lock().expect("cache lock poisoned");
+            *copied = shard.dirty;
+            let journal = shard.order.range(shard.order.len() - shard.dirty..);
+            dirty.extend(journal.map(|key| shard.map[key].clone()));
         }
-        out
+        let written = write(dirty)?;
+        self.mark_flushed(copied);
+        Ok(written)
     }
 
-    /// Puts previously-drained journal entries back, so a persistence
-    /// layer whose flush failed can retry later without losing them.
-    /// This bypasses [`PointCache::insert`] deliberately: the entries
-    /// are already in the map, and `insert`'s duplicate check would
-    /// silently skip re-journaling them.
-    pub fn restore_dirty(&self, entries: Vec<(DesignPoint, PointOutcome)>) {
-        for (point, outcome) in entries {
-            let key = point.content_hash();
-            let mut shard = self.shard(key).lock().expect("cache lock poisoned");
-            shard.dirty.push((point, outcome));
-            shard.dirty_hashes.insert(key);
+    /// Drains the journal: [`PointCache::flush_dirty_with`] with a
+    /// writer that keeps the copy. A serial caller gets exactly the
+    /// entries a persistence layer has not yet flushed.
+    pub fn take_dirty(&self) -> Vec<(DesignPoint, PointOutcome)> {
+        let Ok(dirty) = self.flush_dirty_with(Ok::<_, Infallible>);
+        dirty
+    }
+
+    /// Marks the whole journal flushed without copying it: for a cache
+    /// with no file behind it, so that its bound can evict again.
+    pub fn clear_dirty(&self) {
+        let _flushing = self.flushing.lock().expect("cache lock poisoned");
+        self.mark_flushed([usize::MAX; SHARD_COUNT]);
+    }
+
+    /// Marks each shard's oldest `flushed` journal entries (at most its
+    /// whole journal) flushed. The caller holds `flushing`.
+    fn mark_flushed(&self, flushed: [usize; SHARD_COUNT]) {
+        for (shard, n) in self.shards.iter().zip(flushed) {
+            if n == 0 {
+                continue;
+            }
+            let mut shard = shard.lock().expect("cache lock poisoned");
+            let n = n.min(shard.dirty);
+            shard.dirty -= n;
+            if self.per_shard_cap.is_none() {
+                shard.order.drain(..n);
+            }
         }
     }
 
@@ -292,9 +301,7 @@ impl PointCache {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("cache lock poisoned");
-            for bucket in shard.map.values() {
-                out.extend(bucket.iter().cloned());
-            }
+            out.extend(shard.map.values().cloned());
         }
         out.sort_by_cached_key(|(point, _)| point.canonical_bytes());
         out
@@ -304,7 +311,7 @@ impl PointCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache lock poisoned").count)
+            .map(|s| s.lock().expect("cache lock poisoned").map.len())
             .sum()
     }
 
@@ -481,6 +488,25 @@ mod tests {
         }
         assert!(cache.evictions() > 0);
         assert!(cache.len() < points.len() + 16);
+    }
+
+    #[test]
+    fn a_point_loaded_behind_the_journal_is_evicted_before_it() {
+        // Three points of one shard, two to a shard.
+        let cache = PointCache::bounded(2 * SHARD_COUNT);
+        let mut points = distinct_points(256).into_iter();
+        let first = points.next().unwrap();
+        let mut same_shard = points.filter(|p| shard_of(p) == shard_of(&first));
+        let (loaded, newest) = (same_shard.next().unwrap(), same_shard.next().unwrap());
+        cache.insert(&first, outcome("journaled"));
+        // A load goes in before the journal, which stays the newest
+        // keys, so once the journal is flushed the load is the oldest.
+        cache.insert_loaded(&loaded, outcome("loaded"));
+        assert_eq!(cache.take_dirty().len(), 1);
+        cache.insert_loaded(&newest, outcome("newest"));
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.get(&loaded), None);
+        assert_eq!(cache.get(&first), Some(outcome("journaled")));
     }
 
     #[test]

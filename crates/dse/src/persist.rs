@@ -411,36 +411,24 @@ impl CacheFile {
         Ok(entries.len())
     }
 
-    /// Drains `cache`'s dirty journal into the file: the daemon's
+    /// Appends `cache`'s dirty journal to the file and only then marks
+    /// it flushed ([`PointCache::flush_dirty_with`]): the daemon's
     /// write-batch/shutdown flush. Returns how many records were
-    /// appended.
+    /// appended; an empty journal touches no file.
     ///
     /// # Errors
     ///
-    /// Propagates [`CacheFile::append`] failures. The drained entries
-    /// are re-inserted into the journal on failure, so a retried flush
-    /// loses nothing.
+    /// Propagates [`CacheFile::append`] failures. The journal is then
+    /// left as it was, so a retried flush appends each entry once.
     pub fn flush_dirty(&self, cache: &PointCache) -> io::Result<usize> {
         let started = std::time::Instant::now();
-        let dirty = cache.take_dirty();
-        match self.append(&dirty) {
-            Ok(n) => {
-                let obs = chain_nn_obs::global();
-                obs.histogram("dse_persist_flush_ns")
-                    .record_duration(started.elapsed());
-                obs.counter("dse_persist_flushed_points_total")
-                    .add(n as u64);
-                Ok(n)
-            }
-            Err(e) => {
-                // Put the journal back so a retried flush still sees
-                // these entries. (Not via `insert`: the points are
-                // already in the map, and its duplicate check would
-                // skip re-journaling them.)
-                cache.restore_dirty(dirty);
-                Err(e)
-            }
-        }
+        let n = cache.flush_dirty_with(|dirty| self.append(&dirty))?;
+        let obs = chain_nn_obs::global();
+        obs.histogram("dse_persist_flush_ns")
+            .record_duration(started.elapsed());
+        obs.counter("dse_persist_flushed_points_total")
+            .add(n as u64);
+        Ok(n)
     }
 
     /// Reads the snapshot and hands every record that decodes and

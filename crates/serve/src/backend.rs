@@ -296,10 +296,10 @@ impl Backend for Local {
     fn flush(&self) -> (usize, io::Result<()>) {
         let mut batches = self.batches.lock().expect("flush lock poisoned");
         let Some(file) = &self.cache_file else {
-            // No persistence to protect: discard the journal, so it does
-            // not hold a second copy of every evaluation and a capacity
-            // bound can evict (eviction never touches dirty entries).
-            drop(self.cache.take_dirty());
+            // No persistence to protect: mark the journal flushed
+            // without copying it, so a capacity bound can evict (it never
+            // touches the journal).
+            self.cache.clear_dirty();
             return (0, Ok(()));
         };
         let appended = match file.flush_dirty(&self.cache) {
