@@ -38,7 +38,7 @@
 //!
 //! Two embeddings call the engine directly: the serving daemon's local
 //! backend (metric prefix `sched`, `batch` spans) and
-//! [`executor::run`] (prefix `dse`, `chunk` spans).
+//! [`executor::run`](crate::executor::run) (prefix `dse`, `chunk` spans).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -47,8 +47,7 @@ use std::time::{Duration, Instant};
 use chain_nn_obs::{Counter, Histogram, Registry};
 
 use crate::cache::PointCache;
-use crate::eval::PointOutcome;
-use crate::executor;
+use crate::eval::{evaluate, PointOutcome};
 use crate::spec::DesignPoint;
 use crate::DseError;
 
@@ -584,7 +583,7 @@ impl Engine {
         let mut error = None;
         let (mut hits, mut misses) = (0u64, 0u64);
         for i in start..end {
-            match executor::evaluate_cached_tracked(&points[i], cache) {
+            match evaluate_cached_tracked(&points[i], cache) {
                 Ok((outcome, hit)) => {
                     if hit {
                         hits += 1;
@@ -681,9 +680,30 @@ impl Drop for AdmissionSlot<'_> {
     }
 }
 
+/// Evaluates one point through `cache`: answers from memory when
+/// present, otherwise evaluates and memoizes. Also reports whether the
+/// answer came from the cache (`true` = hit): a job's hit/miss counts
+/// come from these answers, because deltas of the global counters
+/// cross-contaminate between concurrent jobs. This is the evaluation
+/// step every claim runs.
+fn evaluate_cached_tracked(
+    point: &DesignPoint,
+    cache: &PointCache,
+) -> Result<(PointOutcome, bool), DseError> {
+    match cache.get(point) {
+        Some(hit) => Ok((hit, true)),
+        None => {
+            let fresh = evaluate(point)?;
+            cache.insert(point, fresh.clone());
+            Ok((fresh, false))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor;
     use crate::spec::SweepSpec;
 
     fn grid(pes: Vec<usize>) -> Vec<DesignPoint> {

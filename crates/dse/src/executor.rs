@@ -26,32 +26,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Evaluates one point through `cache`: answers from memory when
-/// present, otherwise evaluates and memoizes. Also reports whether the
-/// answer came from the cache (`true` = hit): callers that serve
-/// several clients off one cache (the daemon) need the per-call answer,
-/// because deltas of the global counters cross-contaminate between
-/// concurrent requests. This is the evaluation step every claim of the
-/// work-assisting engine runs.
-///
-/// # Errors
-///
-/// Propagates spec-level evaluation errors (unknown network, invalid
-/// chain parameters); infeasibility is data, not an error.
-pub fn evaluate_cached_tracked(
-    point: &DesignPoint,
-    cache: &PointCache,
-) -> Result<(PointOutcome, bool), DseError> {
-    match cache.get(point) {
-        Some(hit) => Ok((hit, true)),
-        None => {
-            let fresh = evaluate(point)?;
-            cache.insert(point, fresh.clone());
-            Ok((fresh, false))
-        }
-    }
-}
-
 /// Evaluates every point, `threads` at a time, memoizing through
 /// `cache`. Returns outcomes in point order.
 ///

@@ -71,7 +71,7 @@ use chain_nn_nets::{zoo, Network};
 pub use accuracy::AccuracyStats;
 pub use cache::{CacheStats, PointCache};
 pub use eval::{evaluate, PointOutcome, PointResult};
-pub use mix::{evaluate_mix, MixEntry, MixOutcome, MixResult, WorkloadMix};
+pub use mix::{MixEntry, MixOutcome, MixResult, WorkloadMix};
 pub use persist::{CacheFile, LoadReport};
 pub use spec::{DesignPoint, RangeSpec, SweepPart, SweepSpec};
 

@@ -26,14 +26,12 @@
 //! constrain nothing.
 //!
 //! Each `(configuration, network)` pair goes through the one shared
-//! [`PointCache`], so mixes, sweeps and tuner rounds all reuse each
+//! [`PointCache`](crate::PointCache), so mixes, sweeps and tuner rounds all reuse each
 //! other's evaluations.
 
 use std::fmt;
 
-use crate::cache::PointCache;
 use crate::eval::{PointOutcome, PointResult};
-use crate::executor::evaluate_cached_tracked;
 use crate::spec::DesignPoint;
 use crate::DseError;
 
@@ -323,37 +321,14 @@ impl MixOutcome {
     }
 }
 
-/// Evaluates one configuration over a mix through `cache`, returning
-/// the aggregate plus this call's `(hits, misses)` cache traffic. The
-/// `net` field of `base` is ignored — the mix decides the networks.
-///
-/// # Errors
-///
-/// Propagates spec-level evaluation errors ([`DseError`]);
-/// model-level infeasibility is data.
-pub fn evaluate_mix(
-    base: &DesignPoint,
-    mix: &WorkloadMix,
-    cache: &PointCache,
-) -> Result<(MixOutcome, u64, u64), DseError> {
-    let mut outcomes = Vec::with_capacity(mix.entries().len());
-    let (mut hits, mut misses) = (0u64, 0u64);
-    for point in mix.points_for(base) {
-        let (outcome, hit) = evaluate_cached_tracked(&point, cache)?;
-        if hit {
-            hits += 1;
-        } else {
-            misses += 1;
-        }
-        outcomes.push(outcome);
-    }
-    Ok((mix.aggregate(&outcomes), hits, misses))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::evaluate;
+
+    fn evaluate_all(points: &[DesignPoint]) -> Vec<PointOutcome> {
+        points.iter().map(|p| evaluate(p).unwrap()).collect()
+    }
 
     fn feasible(fps: f64, chip: f64, dram: f64) -> PointOutcome {
         feasible_sqnr(fps, chip, dram, 60.0)
@@ -398,13 +373,12 @@ mod tests {
         assert_eq!(mix, WorkloadMix::single("alexnet").unwrap());
         // And a zero-weight net's infeasibility cannot poison the mix:
         // lenet needs few PEs, vgg16 at weight 0 is simply absent.
-        let cache = PointCache::new();
         let base = DesignPoint {
             pes: 25,
             ..DesignPoint::paper_alexnet()
         };
         let mix = WorkloadMix::parse("lenet:1,vgg16:0").unwrap();
-        let (outcome, _, _) = evaluate_mix(&base, &mix, &cache).unwrap();
+        let outcome = mix.aggregate(&evaluate_all(&mix.points_for(&base)));
         assert!(outcome.result().is_some(), "{outcome:?}");
     }
 
@@ -412,9 +386,15 @@ mod tests {
     fn single_net_mix_equals_plain_eval() {
         let mix = WorkloadMix::single("alexnet").unwrap();
         let base = DesignPoint::paper_alexnet();
-        let cache = PointCache::new();
-        let (outcome, hits, misses) = evaluate_mix(&base, &mix, &cache).unwrap();
-        assert_eq!((hits, misses), (0, 1));
+        let points = mix.points_for(&base);
+        assert_eq!(points, std::slice::from_ref(&base));
+        // The base's own net is ignored: the mix decides the networks.
+        let vgg_base = DesignPoint {
+            net: "vgg16".into(),
+            ..base.clone()
+        };
+        assert_eq!(mix.points_for(&vgg_base), points);
+        let outcome = mix.aggregate(&evaluate_all(&points));
         let mixed = *outcome.result().expect("paper point feasible");
         let plain = evaluate(&base).unwrap();
         let plain = plain.result().expect("feasible");
@@ -460,26 +440,6 @@ mod tests {
             }
             MixOutcome::Feasible(_) => panic!("mix must be infeasible"),
         }
-    }
-
-    #[test]
-    fn evaluate_mix_reuses_the_cache_per_config_net_pair() {
-        let mix = WorkloadMix::parse("alexnet:0.7,vgg16:0.3").unwrap();
-        let base = DesignPoint::paper_alexnet();
-        let cache = PointCache::new();
-        let (_, hits, misses) = evaluate_mix(&base, &mix, &cache).unwrap();
-        assert_eq!((hits, misses), (0, 2));
-        let (again, hits, misses) = evaluate_mix(&base, &mix, &cache).unwrap();
-        assert_eq!((hits, misses), (2, 0));
-        assert!(again.result().is_some());
-        // The ignored base net aliases onto the mix nets: a base already
-        // carrying "vgg16" touches the same two cache keys.
-        let vgg_base = DesignPoint {
-            net: "vgg16".into(),
-            ..base
-        };
-        let (_, hits, misses) = evaluate_mix(&vgg_base, &mix, &cache).unwrap();
-        assert_eq!((hits, misses), (2, 0));
     }
 
     #[test]
