@@ -898,7 +898,6 @@ fn serve_cmd(flags: &Flags) -> CmdResult {
         sample_interval: std::time::Duration::from_millis(
             flags.get_or("sample-interval-ms", 250u64)?.max(1),
         ),
-        history_capacity: 256,
         slos: match flags.get_str("slo") {
             None => Vec::new(),
             Some(text) => chain_nn_serve::slo::SloSpec::parse_list(text)?,

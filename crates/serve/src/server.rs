@@ -93,10 +93,6 @@ pub struct ServerConfig {
     /// metrics history ring (drives `metrics_history`, `watch`, and
     /// SLO evaluation).
     pub sample_interval: Duration,
-    /// Ring capacity in samples. With the default 250 ms interval, 256
-    /// samples hold just over a minute of history — enough for the 1
-    /// s/10 s/60 s windows `metrics_history` reports.
-    pub history_capacity: usize,
     /// Latency SLOs (`eval:p99_us=500`) evaluated every sampler tick
     /// over the trailing [`crate::slo::SLO_WINDOW`].
     pub slos: Vec<SloSpec>,
@@ -120,7 +116,6 @@ impl Default for ServerConfig {
             trace_log: None,
             trace_max_bytes: 64 * 1024 * 1024,
             sample_interval: Duration::from_millis(250),
-            history_capacity: 256,
             slos: Vec::new(),
             slow_log_us: None,
         }
@@ -471,10 +466,7 @@ impl Server {
             trace,
             next_request_id: AtomicU64::new(1),
             flight_path: flight_path.clone(),
-            history: Mutex::new(TimeSeries::new(
-                sample_interval,
-                config.history_capacity.max(2),
-            )),
+            history: Mutex::new(TimeSeries::new(sample_interval, HISTORY_CAPACITY)),
             sample_interval,
             slo: Mutex::new(SloTracker::new(config.slos)),
             slo_breach_ticks: AtomicU64::new(0),
@@ -577,6 +569,11 @@ impl Server {
         })
     }
 }
+
+/// Metrics history ring capacity in samples. With the default 250 ms
+/// interval, 256 samples hold just over a minute of history — enough
+/// for the 1 s/10 s/60 s windows `metrics_history` reports.
+const HISTORY_CAPACITY: usize = 256;
 
 /// Longest request line the daemon will buffer. Real requests are a
 /// few hundred bytes (the largest is a sweep spec with explicit axis
