@@ -110,8 +110,9 @@ pub(crate) enum Failure {
     Refused(SubmitError),
     /// A point failed at the spec level.
     Eval(DseError),
-    /// No shard could evaluate some of the points.
-    Lost(String),
+    /// A shard's error reply, verbatim, or no shard could evaluate
+    /// some of the points.
+    Shard(String),
 }
 
 impl From<Failure> for Response {
@@ -124,7 +125,7 @@ impl From<Failure> for Response {
                 Response::error("server is shutting down")
             }
             Failure::Eval(e) => Response::error(e),
-            Failure::Lost(message) => Response::Error { message },
+            Failure::Shard(message) => Response::Error { message },
         }
     }
 }
@@ -136,7 +137,7 @@ impl From<Failure> for TuneError {
             // check, so only shutdown refuses it.
             Failure::Refused(_) => TuneError::Backend("server is shutting down".to_owned()),
             Failure::Eval(e) => TuneError::Eval(e),
-            Failure::Lost(message) => TuneError::Backend(message),
+            Failure::Shard(message) => TuneError::Backend(message),
         }
     }
 }

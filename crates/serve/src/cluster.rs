@@ -302,7 +302,8 @@ impl Session for Vec<ShardConn<'_>> {
 
     /// Hash-partitioned `eval_batch` per shard, failed shards re-routed
     /// to the healthy ones, outcomes reassembled in input order. Fails
-    /// only when some points could not be evaluated by *any* shard.
+    /// with a shard's error reply (a spec error), or when some points
+    /// could not be evaluated by *any* shard.
     fn eval_points(
         &mut self,
         points: Vec<DesignPoint>,
@@ -342,6 +343,10 @@ impl Session for Vec<ShardConn<'_>> {
                         slots[idx] = Some(outcome);
                     }
                 }
+                // A spec error: the shard is healthy and any shard would
+                // say the same, so the request ends with the shard's
+                // words, as a daemon's reply reads.
+                Some(Some(Response::Error { message })) => return Err(Failure::Shard(message)),
                 Some(_) => {
                     // Transport failure, busy exhaustion, or a malformed
                     // reply: every point of this partition is re-routed.
@@ -359,13 +364,12 @@ impl Session for Vec<ShardConn<'_>> {
                 if conn.slot.degraded.load(Ordering::Relaxed) {
                     continue;
                 }
-                if let Some(Response::EvalBatch {
-                    outcomes,
-                    cache_hits,
-                    cache_misses,
-                }) = conn.call(&batch)
-                {
-                    if outcomes.len() == strays.len() {
+                match conn.call(&batch) {
+                    Some(Response::EvalBatch {
+                        outcomes,
+                        cache_hits,
+                        cache_misses,
+                    }) if outcomes.len() == strays.len() => {
                         hits += cache_hits;
                         misses += cache_misses;
                         for (&idx, outcome) in strays.iter().zip(outcomes) {
@@ -374,10 +378,12 @@ impl Session for Vec<ShardConn<'_>> {
                         served = true;
                         break;
                     }
+                    Some(Response::Error { message }) => return Err(Failure::Shard(message)),
+                    _ => {}
                 }
             }
             if !served {
-                return Err(Failure::Lost(
+                return Err(Failure::Shard(
                     "no shard could evaluate the batch".to_owned(),
                 ));
             }
@@ -385,7 +391,7 @@ impl Session for Vec<ShardConn<'_>> {
         let outcomes = slots
             .into_iter()
             .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| Failure::Lost("shard replies left points unanswered".to_owned()))?;
+            .ok_or_else(|| Failure::Shard("shard replies left points unanswered".to_owned()))?;
         Ok(Evaluated {
             outcomes,
             hits,

@@ -97,6 +97,22 @@ fn frontier_wire(client: &mut Client, sqnr: bool) -> String {
     response.encode()
 }
 
+/// Raw `eval_batch` lines a coordinator must answer byte for byte as a
+/// daemon does: fresh points off the sweep grid, the same points again
+/// (all hits), and a point naming an unknown network (a spec error).
+const EVAL_BATCH_LINES: [&str; 3] = [
+    r#"{"type":"eval_batch","points":[{"net":"lenet","pes":30},{"net":"lenet","pes":60},{"net":"lenet","pes":90},{"net":"lenet","pes":120}]}"#,
+    r#"{"type":"eval_batch","points":[{"net":"lenet","pes":30},{"net":"lenet","pes":60},{"net":"lenet","pes":90},{"net":"lenet","pes":120}]}"#,
+    r#"{"type":"eval_batch","points":[{"net":"squeezenet"}]}"#,
+];
+
+fn eval_batch_replies(client: &mut Client) -> Vec<String> {
+    EVAL_BATCH_LINES
+        .iter()
+        .map(|line| client.request_raw(line).expect("eval_batch round trip"))
+        .collect()
+}
+
 /// Sweep + tune + frontier through a 2- and a 4-shard cluster, checked
 /// field-by-field (and, for frontiers, wire-byte-for-wire-byte) against
 /// a single daemon serving the identical requests.
@@ -119,6 +135,12 @@ fn cluster_results_are_byte_identical_to_a_single_daemon() {
         ..ServerConfig::default()
     });
     let mut reference = Client::connect(ref_addr).expect("connect reference");
+    let ref_batches = eval_batch_replies(&mut reference);
+    assert!(
+        ref_batches[2].contains("unknown network 'squeezenet'"),
+        "{}",
+        ref_batches[2]
+    );
     let ref_sweep = sweep_summary(&mut reference, &spec);
     assert_eq!(ref_sweep.cache_misses, spec.len() as u64);
     let ref_tune = match reference.tune(tune_request.clone()).expect("tune") {
@@ -131,6 +153,13 @@ fn cluster_results_are_byte_identical_to_a_single_daemon() {
     for shards in [2usize, 4] {
         let (addr, coordinator, shard_handles) = start_cluster(shards);
         let mut client = Client::connect(addr).expect("connect coordinator");
+
+        // Batches, a spec error included, read as the daemon's replies.
+        assert_eq!(
+            eval_batch_replies(&mut client),
+            ref_batches,
+            "{shards} shards"
+        );
 
         // The merged sweep: same grid accounting, same frontiers by
         // global grid index, not degraded — and fresh (disjoint
