@@ -9,7 +9,7 @@
 //! wire. These are the acceptance criteria of the engine PR.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use chain_nn_repro::dse::engine::{ClaimPolicy, Engine, DEFAULT_MAX_CLAIM};
@@ -74,22 +74,31 @@ const PUMPS: usize = 2;
 /// Runs one measurement round for the tail-latency criterion: boots a
 /// 2-worker daemon under the given claim policy, launches a
 /// ~16,000-point cold sweep, and has [`PUMPS`] clients pump one-point
-/// evals at it for the sweep's whole duration. Returns the daemon's own
-/// `serve_queue_wait_ns{type=eval}` p99 (nanoseconds) and the pumps'
-/// eval count.
+/// evals at it for the sweep's whole duration. Returns the p99 of the
+/// evals' queue waits (microseconds) and how many evals it covers.
 ///
 /// Each pump point is fresh (cache-cold), so the eval must travel the
 /// scheduler — cache hits are answered inline and never queue at all.
 /// An alexnet point evaluates in microseconds; what the adaptive
 /// policy must shrink is its queue wait — the time from submission
 /// until a worker reaches a claim boundary and picks the eval up. The
-/// daemon's queue-wait histogram measures exactly that window, immune
-/// to the client-side scheduling noise a loaded test machine adds to
-/// round-trip times.
-fn eval_queue_wait_p99_under_sweep(claim: ClaimPolicy) -> (f64, usize) {
+/// daemon times exactly that window, immune to the client-side
+/// scheduling noise a loaded test machine adds to round-trip times,
+/// and its trace log holds each eval's wait. The p99 is taken from
+/// those samples, not from the `serve_queue_wait_ns` histogram, whose
+/// quantiles are power-of-two bucket means: one bucket apart already
+/// reads as a 2× gap.
+fn eval_queue_wait_p99_under_sweep(claim: ClaimPolicy) -> (u64, usize) {
+    static ROUND: AtomicUsize = AtomicUsize::new(0);
+    let trace_log = std::env::temp_dir().join(format!(
+        "chain-nn-mixed-trace-{}-{}.jsonl",
+        std::process::id(),
+        ROUND.fetch_add(1, Ordering::Relaxed)
+    ));
     let (addr, daemon) = start(ServerConfig {
         threads: 2,
         claim,
+        trace_log: Some(trace_log.clone()),
         ..ServerConfig::default()
     });
     // Disjoint from the sweep grid (different net), fresh every
@@ -147,15 +156,27 @@ fn eval_queue_wait_p99_under_sweep(claim: ClaimPolicy) -> (f64, usize) {
             .map(|pump| pump.join().expect("pump thread"))
             .sum()
     });
-    let mut client = Client::connect(addr).expect("connect");
-    let snapshot = metrics_snapshot(&mut client);
-    let _ = client.shutdown();
+    let _ = Client::connect(addr).expect("connect").shutdown();
     daemon.join().expect("daemon thread");
 
-    let wait = snapshot
-        .histogram("serve_queue_wait_ns", &[("type", "eval")])
-        .expect("eval queue-wait histogram");
-    (wait.p99, pumped)
+    let trace = std::fs::read_to_string(&trace_log).expect("trace log");
+    let _ = std::fs::remove_file(&trace_log);
+    let mut waits: Vec<u64> = trace
+        .lines()
+        .filter(|line| line.contains("\"type\":\"eval\""))
+        .map(|line| {
+            let (_, rest) = line
+                .split_once("\"queue_wait_us\":")
+                .expect("a queue_wait_us field");
+            let digits = rest.split(',').next().expect("a value");
+            digits.parse().expect("queue_wait_us is a count")
+        })
+        .collect();
+    assert_eq!(waits.len(), pumped, "one trace line per eval");
+    waits.sort_unstable();
+    // Nearest rank: the smallest wait at or above 99 % of the samples.
+    let p99 = waits[(waits.len() * 99).div_ceil(100) - 1];
+    (p99, pumped)
 }
 
 /// The headline latency criterion: with interactive evals racing a
@@ -181,16 +202,14 @@ fn adaptive_claims_cut_eval_p99_versus_fixed_batches_during_a_sweep() {
             max: DEFAULT_MAX_CLAIM,
         });
         last = format!(
-            "fixed queue-wait p99 {:.0} us over {fixed_n} evals, \
-             adaptive {:.0} us over {adaptive_n} evals",
-            fixed_p99 / 1e3,
-            adaptive_p99 / 1e3,
+            "fixed queue-wait p99 {fixed_p99} us over {fixed_n} evals, \
+             adaptive {adaptive_p99} us over {adaptive_n} evals"
         );
         eprintln!("{last}");
         // Enough samples for a meaningful p99 on both sides, and at
         // least a 2x improvement (the policy predicts ~8x: waits of
         // ~CONTENDED_CLAIM points instead of ~DEFAULT_MAX_CLAIM points).
-        if fixed_n >= 50 && adaptive_n >= 50 && adaptive_p99 * 2.0 <= fixed_p99 {
+        if fixed_n >= 50 && adaptive_n >= 50 && adaptive_p99 * 2 <= fixed_p99 {
             return;
         }
     }
