@@ -18,12 +18,11 @@
 //! newest keys of that list are the shard's **journal**: the entries
 //! inserted since the last flush, which a persistence layer
 //! ([`crate::persist`]) appends to its file. The journal is a count, not
-//! a copy: [`PointCache::flush_dirty_with`] hands a copy of it to the
-//! writer and marks it flushed only once the write succeeds, so a failed
-//! write leaves it journaled for the next flush.
-//! [`PointCache::insert_loaded`] populates the table without journaling,
-//! for entries that already live on disk; such a key goes in before the
-//! journal, which stays the newest keys.
+//! a copy: a flush hands a copy of it to the writer and marks it flushed
+//! only once the write succeeds, so a failed write leaves it journaled
+//! for the next flush. [`PointCache::insert_loaded`] populates the table
+//! without journaling, for entries that already live on disk; such a key
+//! goes in before the journal, which stays the newest keys.
 //!
 //! The cache is grow-only by default — correct for sweeps and fine for
 //! grids up to ~10⁷ points, but a month-long daemon lifetime wants a
@@ -244,7 +243,7 @@ impl PointCache {
     /// # Errors
     ///
     /// `write`'s error, with the journal left as it was.
-    pub fn flush_dirty_with<T, E>(
+    pub(crate) fn flush_dirty_with<T, E>(
         &self,
         write: impl FnOnce(Vec<(DesignPoint, PointOutcome)>) -> Result<T, E>,
     ) -> Result<T, E> {
@@ -262,9 +261,10 @@ impl PointCache {
         Ok(written)
     }
 
-    /// Drains the journal: [`PointCache::flush_dirty_with`] with a
-    /// writer that keeps the copy. A serial caller gets exactly the
-    /// entries a persistence layer has not yet flushed.
+    /// Drains the journal: the entries inserted (not loaded) since the
+    /// last flush, in shard order and then insertion order, now marked
+    /// flushed. A serial caller gets exactly the entries a persistence
+    /// layer has not yet flushed.
     pub fn take_dirty(&self) -> Vec<(DesignPoint, PointOutcome)> {
         let Ok(dirty) = self.flush_dirty_with(Ok::<_, Infallible>);
         dirty

@@ -5,9 +5,11 @@
 //! as one self-checking record in a cache file and replays the file at
 //! startup. Design constraints, in order:
 //!
-//! * **Append-only.** A flush never rewrites history — it appends the
-//!   cache's dirty journal ([`PointCache::take_dirty`]) and syncs. A
-//!   crash can only lose the unflushed tail, never corrupt old records.
+//! * **Append-only.** A flush never rewrites history — it copies the
+//!   cache's journal, appends it and syncs, and only then marks it
+//!   flushed ([`CacheFile::flush_dirty`]), so a failed append leaves
+//!   the journal for the next flush. A crash can only lose the
+//!   unflushed tail, never corrupt old records.
 //! * **Self-checking.** Each record carries its payload length and an
 //!   FNV-1a checksum; the payload carries the point's content hash,
 //!   which the loader recomputes from the decoded point. A flipped bit
@@ -411,9 +413,10 @@ impl CacheFile {
         Ok(entries.len())
     }
 
-    /// Appends `cache`'s dirty journal to the file and only then marks
-    /// it flushed ([`PointCache::flush_dirty_with`]): the daemon's
-    /// write-batch/shutdown flush. Returns how many records were
+    /// Appends a copy of `cache`'s dirty journal to the file and only
+    /// then marks it flushed: the daemon's write-batch/shutdown flush.
+    /// Flushes of one cache run one at a time, so racing callers append
+    /// each entry once between them. Returns how many records were
     /// appended; an empty journal touches no file.
     ///
     /// # Errors
